@@ -131,7 +131,7 @@ let run_cmd =
          & info [ "faults" ] ~docv:"SPEC"
              ~doc:"Inject an adverse environment: a comma-separated list of \
                    drop=P, delay=P:SECONDS, dup=P, link=SRC-DST, \
-                   tag=NODE:TAG, silence=NODE\\@PHASE, crash=NODE\\@TIME \
+                   tag=NODE:TAG, silence=NODE@PHASE, crash=NODE@TIME \
                    terms. Arms per-agent crash detection, so the run ends \
                    in a clean audited abort instead of hanging.")
   in

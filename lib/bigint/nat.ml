@@ -444,3 +444,9 @@ let of_bytes_be s =
 
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 let limbs a = Array.copy a
+
+let of_limbs a =
+  if Array.exists (fun l -> l < 0 || l > mask) a then
+    invalid_arg "Nat.of_limbs: limb out of range";
+  (* [normalize] may return its argument, so copy first. *)
+  normalize (Array.copy a)

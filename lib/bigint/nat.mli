@@ -88,6 +88,11 @@ val limbs : t -> int array
 (** Defensive copy of the little-endian limb array (for hashing and
     size accounting). *)
 
+val of_limbs : int array -> t
+(** Inverse of {!limbs}: a copy of the little-endian limbs, trailing
+    zero limbs dropped. @raise Invalid_argument if a limb lies outside
+    [[0, 2^30)]. *)
+
 val byte_size : t -> int
 (** Number of bytes needed for a minimal big-endian encoding; used by
     the simulator's message-size model. [byte_size zero = 1]. *)

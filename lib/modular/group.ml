@@ -1,6 +1,12 @@
 open Dmw_bigint
 
-type t = { p : Bigint.t; q : Bigint.t; z1 : Bigint.t; z2 : Bigint.t }
+type t = {
+  p : Bigint.t;
+  q : Bigint.t;
+  z1 : Bigint.t;
+  z2 : Bigint.t;
+  mont : Montgomery.ctx option;
+}
 type elt = Bigint.t
 
 let one = Bigint.one
@@ -10,9 +16,14 @@ let mod_q g e = Bigint.erem e g.q
 let mul g a b = Zmod.mul g.p a b
 let inv g a = Zmod.inv g.p a
 let div g a b = Zmod.div g.p a b
+let pow_in p mont b e =
+  match mont with
+  | Some ctx -> Montgomery.pow ctx b e
+  | None -> Zmod.pow p b e
+
 let pow g b e =
   Dmw_obs.Metrics.bump "dmw_modexp_total" 1;
-  Zmod.pow g.p b (mod_q g e)
+  pow_in g.p g.mont b (mod_q g e)
 let commit g a b = mul g (pow g g.z1 a) (pow g g.z2 b)
 
 let random_exponent g rng =
@@ -36,10 +47,11 @@ let create ~p ~q ~z1 ~z2 =
   let* () = check (in_range z1) "z1 out of range" in
   let* () = check (in_range z2) "z2 out of range" in
   let* () = check (not (Bigint.equal z1 z2)) "z1 = z2" in
-  let order_q z = Bigint.equal (Zmod.pow p z q) Bigint.one in
+  let mont = Montgomery.for_modulus p in
+  let order_q z = Bigint.equal (pow_in p mont z q) Bigint.one in
   let* () = check (order_q z1) "z1 does not have order q" in
   let* () = check (order_q z2) "z2 does not have order q" in
-  Ok { p; q; z1; z2 }
+  Ok { p; q; z1; z2; mont }
 
 let validate_prime rng g = Primality.is_prime rng g.p && Primality.is_prime rng g.q
 

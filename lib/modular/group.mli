@@ -14,6 +14,10 @@ type t = private {
   q : Bigint.t;  (** Subgroup order, [(p-1)/2], prime. *)
   z1 : Bigint.t; (** First generator of the order-[q] subgroup. *)
   z2 : Bigint.t; (** Second generator, independent of [z1]. *)
+  mont : Montgomery.ctx option;
+      (** Arithmetic context for [p], built once by {!create} when [p]
+          has at least [Montgomery.threshold_bits] bits; {!pow} runs
+          on it. *)
 }
 
 type elt = Bigint.t

@@ -35,10 +35,11 @@ let decompose n =
   let rec go d s = if Bigint.is_even d then go (Bigint.shift_right d 1) (s + 1) else (d, s) in
   go n1 0
 
-let miller_rabin_witness n a =
+(* [pow b e] computes [b^e mod n]. *)
+let witness pow n a =
   let n1 = Bigint.sub n Bigint.one in
   let d, s = decompose n in
-  let x = Zmod.pow n a d in
+  let x = pow a d in
   if Bigint.equal x Bigint.one || Bigint.equal x n1 then false
   else begin
     let rec squares x i =
@@ -50,6 +51,14 @@ let miller_rabin_witness n a =
     in
     squares x 0
   end
+
+(* One Montgomery context per large candidate, shared by its rounds. *)
+let pow_mod n =
+  match Montgomery.for_modulus n with
+  | Some ctx -> Montgomery.pow ctx
+  | None -> Zmod.pow n
+
+let miller_rabin_witness n a = witness (pow_mod n) n a
 
 let two_pow_32 = Bigint.shift_left Bigint.one 32
 
@@ -81,6 +90,7 @@ let is_prime ?(rounds = 24) g n =
           List.init rounds (fun _ -> Prng.in_range g ~lo ~hi)
         end
       in
-      not (List.exists (miller_rabin_witness n) witnesses)
+      let pow = pow_mod n in
+      not (List.exists (witness pow n) witnesses)
     end
   end

@@ -13,20 +13,43 @@ let check_points ~modulus points =
       Hashtbl.add seen a ())
     points
 
+(* Montgomery's batch inversion: prefix products, one inverse of the
+   full product, then a backward pass peeling one factor at a time. *)
+let batch_inv q xs =
+  let s = Array.length xs in
+  let prefix = Array.make s Bigint.one in
+  let acc = ref Bigint.one in
+  for k = 0 to s - 1 do
+    prefix.(k) <- !acc;
+    acc := Zmod.mul q !acc xs.(k)
+  done;
+  (* Invariant: [inv] is the inverse of Π_{i<=k} xs.(i). *)
+  let inv = ref (Zmod.inv q !acc) in
+  let out = Array.make s Bigint.zero in
+  for k = s - 1 downto 0 do
+    out.(k) <- Zmod.mul q !inv prefix.(k);
+    inv := Zmod.mul q !inv xs.(k)
+  done;
+  out
+
 let rho ~modulus points =
   check_points ~modulus points;
   let q = modulus in
   let s = Array.length points in
-  Array.init s (fun j ->
-      let acc = ref Bigint.one in
-      for i = 0 to s - 1 do
-        if i <> j then begin
-          let num = points.(i) in
-          let den = Zmod.sub q points.(i) points.(j) in
-          acc := Zmod.mul q !acc (Zmod.div q num den)
-        end
-      done;
-      !acc)
+  (* Π_{i≠j} f(i). *)
+  let prod_except j f =
+    let acc = ref Bigint.one in
+    for i = 0 to s - 1 do
+      if i <> j then acc := Zmod.mul q !acc (f i)
+    done;
+    !acc
+  in
+  let num = Array.init s (fun j -> prod_except j (fun i -> points.(i))) in
+  let den =
+    Array.init s (fun j ->
+        prod_except j (fun i -> Zmod.sub q points.(i) points.(j)))
+  in
+  Array.map2 (Zmod.mul q) num (batch_inv q den)
 
 let interpolate_at_zero ~modulus points values =
   if Array.length points <> Array.length values then

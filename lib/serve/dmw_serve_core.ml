@@ -72,9 +72,13 @@ type t = {
   (* Submission side. *)
   smutex : Mutex.t;
   mutable next_job : int;
-  (* Result side: published under rmutex, watched through rcond. *)
+  (* Result side: published under rmutex, watched through rcond. A
+     job id is in [unsettled] from acceptance to settlement and in
+     [results] from settlement to its one [await]; both stay bounded
+     by the queue capacity plus one wave. *)
   rmutex : Mutex.t;
   rcond : Condition.t;
+  unsettled : (int, unit) Hashtbl.t;
   results : (int, job_result) Hashtbl.t;
   mutable epochs : int;
   mutable jobs_done : int;
@@ -129,6 +133,7 @@ let worker t i () =
 
 let publish t r =
   Mutex_util.with_lock t.rmutex (fun () ->
+      Hashtbl.remove t.unsettled r.job;
       Hashtbl.replace t.results r.job r;
       t.jobs_done <- t.jobs_done + 1;
       Condition.broadcast t.rcond)
@@ -137,9 +142,11 @@ let await t id =
   Mutex_util.with_lock t.rmutex (fun () ->
       let rec wait () =
         match Hashtbl.find_opt t.results id with
-        | Some r -> Some r
+        | Some r ->
+            Hashtbl.remove t.results id;
+            Some r
         | None ->
-            if t.stopped then None
+            if t.stopped || not (Hashtbl.mem t.unsettled id) then None
             else begin
               Condition.wait t.rcond t.rmutex;
               wait ()
@@ -147,12 +154,13 @@ let await t id =
       in
       wait ())
 
-type stats = { epochs : int; jobs : int; queue_depth : int }
+type stats = { epochs : int; jobs : int; queue_depth : int; unclaimed : int }
 
 let stats t =
   Mutex_util.with_lock t.rmutex (fun () ->
       { epochs = t.epochs; jobs = t.jobs_done;
-        queue_depth = Bounded_queue.length t.queue })
+        queue_depth = Bounded_queue.length t.queue;
+        unclaimed = Hashtbl.length t.results })
 
 (* ------------------------------------------------------------------ *)
 (* Epochs                                                              *)
@@ -380,6 +388,7 @@ let create ?(paused = false) ?wal ?(epoch_base = 0) ?(job_base = 0) cfg =
           next_job = job_base;
           rmutex = Mutex.create ();
           rcond = Condition.create ();
+          unsettled = Hashtbl.create 64;
           results = Hashtbl.create 64;
           epochs = epoch_base;
           jobs_done = 0;
@@ -407,14 +416,18 @@ let submit t ~bids =
   else
     Mutex_util.with_lock t.smutex (fun () ->
         let id = t.next_job in
+        (* Marked before the push: once queued, the job may settle
+           before this thread runs again. *)
+        Mutex_util.with_lock t.rmutex (fun () -> Hashtbl.replace t.unsettled id ());
         match Bounded_queue.try_push t.queue { id; w_vector = bids } with
         | `Ok ->
             t.next_job <- id + 1;
             journal t
               (Dmw_wal.Job_submitted { job = id; bids = Array.copy bids });
             `Accepted id
-        | `Full -> `Busy
-        | `Closed -> `Closed)
+        | (`Full | `Closed) as refused -> (
+            Mutex_util.with_lock t.rmutex (fun () -> Hashtbl.remove t.unsettled id);
+            match refused with `Full -> `Busy | `Closed -> `Closed))
 
 let shutdown t =
   Bounded_queue.close t.queue;

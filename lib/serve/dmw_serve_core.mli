@@ -111,12 +111,20 @@ val submit :
     means the service is shutting down. *)
 
 val await : t -> int -> job_result option
-(** Block until the job's wave settles and return its result; [None]
-    only if the service was shut down before producing one (an
-    accepted job is always drained, so this means the id was never
-    accepted or the service died). *)
+(** Block until the job's wave settles and return its result, which
+    the service then forgets: each accepted id yields its result
+    exactly once, so a long-running service holds only results not
+    yet awaited. Returns [None] at once, without blocking, for an id
+    that was never accepted or whose result was already returned, and
+    [None] to callers still waiting when the service shuts down (an
+    accepted job is always drained, so this means the service died). *)
 
-type stats = { epochs : int; jobs : int; queue_depth : int }
+type stats = {
+  epochs : int;
+  jobs : int;  (** Jobs settled since {!create}. *)
+  queue_depth : int;
+  unclaimed : int;  (** Settled results not yet returned by {!await}. *)
+}
 
 val stats : t -> stats
 

@@ -127,6 +127,25 @@ let test_montgomery_matches_zmod () =
       done)
     [ 64; 128; 512 ]
 
+(* Random odd moduli of every width from 1 to 35 limbs (30 to 1050
+   bits), against Zmod.pow, which is plain square-and-multiply.
+   Bases and exponents may exceed the modulus. *)
+let test_montgomery_limb_widths () =
+  let rng = Prng.create ~seed:405 in
+  for limbs = 1 to 35 do
+    for _ = 1 to 3 do
+      let bits = (30 * (limbs - 1)) + 2 + Prng.int rng 29 in
+      let m = Bigint.add (Prng.bits rng (bits - 1)) (Bigint.shift_left Bigint.one (bits - 1)) in
+      let m = if Bigint.is_even m then Bigint.add m Bigint.one else m in
+      let ctx = Montgomery.create m in
+      let b = Prng.bits rng (bits + 8) in
+      let e = Prng.bits rng (1 + Prng.int rng (bits + 8)) in
+      check_bigint
+        (Printf.sprintf "%d limbs, m = %s" limbs (Bigint.to_string m))
+        (Zmod.pow m b e) (Montgomery.pow ctx b e)
+    done
+  done
+
 let test_montgomery_edge_cases () =
   let g = Group.standard ~bits:64 in
   let ctx = Montgomery.create g.Group.p in
@@ -135,7 +154,59 @@ let test_montgomery_edge_cases () =
   check_bigint "1^e = 1" Bigint.one (Montgomery.pow ctx Bigint.one (bi "999"));
   check_bigint "fermat" Bigint.one (Montgomery.pow ctx g.Group.z1 g.Group.q);
   check_bigint "mul" (Zmod.mul g.Group.p (bi "1234567") (bi "7654321"))
-    (Montgomery.mul ctx (bi "1234567") (bi "7654321"))
+    (Montgomery.mul ctx (bi "1234567") (bi "7654321"));
+  check_bigint "3^2 mod 3" Bigint.zero
+    (Montgomery.pow (Montgomery.create (bi "3")) (bi "3") (bi "2"))
+
+(* The standard groups that run on their own context: bases 0, 1 and
+   p-1 and random ones, exponents 0, q and beyond q, both through the
+   context and through Group.pow, which first reduces mod q. *)
+let test_montgomery_standard_groups () =
+  let rng = Prng.create ~seed:406 in
+  List.iter
+    (fun bits ->
+      let g = Group.standard ~bits in
+      let p = g.Group.p and q = g.Group.q in
+      let ctx = Montgomery.create p in
+      let bases =
+        [ Bigint.zero; Bigint.one; Bigint.sub p Bigint.one; g.Group.z1;
+          Prng.below rng p ]
+      in
+      let exps =
+        [ Bigint.zero; Bigint.one; q; Bigint.add q Bigint.one;
+          Bigint.add (Bigint.shift_left q 1) (bi "3"); p;
+          Prng.below rng q; Prng.bits rng (bits + 40) ]
+      in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              let label = Printf.sprintf "%d bits: %s^%s" bits
+                  (Bigint.to_string b) (Bigint.to_string e) in
+              check_bigint label (Zmod.pow p b e) (Montgomery.pow ctx b e);
+              check_bigint ("Group.pow " ^ label)
+                (Zmod.pow p b (Bigint.erem e q)) (Group.pow g b e))
+            exps)
+        bases)
+    [ 512; 1024 ]
+
+let test_montgomery_shared_across_threads () =
+  let g = Group.standard ~bits:512 in
+  let rng = Prng.create ~seed:407 in
+  let inputs =
+    List.init 12 (fun _ -> (Prng.below rng g.Group.p, Group.random_exponent g rng))
+  in
+  let run () = List.map (fun (b, e) -> Group.pow g b e) inputs in
+  let results = Array.make 2 [] in
+  let threads =
+    Array.init 2 (fun i -> Thread.create (fun () -> results.(i) <- run ()) ())
+  in
+  Array.iter Thread.join threads;
+  let expected = List.map (fun (b, e) -> Zmod.pow g.Group.p b e) inputs in
+  Array.iteri
+    (fun i r ->
+      List.iter2 (check_bigint (Printf.sprintf "thread %d" i)) expected r)
+    results
 
 let test_montgomery_validation () =
   Alcotest.check_raises "even modulus"
@@ -143,20 +214,29 @@ let test_montgomery_validation () =
       ignore (Montgomery.create (bi "100")));
   Alcotest.check_raises "tiny modulus"
     (Invalid_argument "Montgomery.create: modulus too small") (fun () ->
-      ignore (Montgomery.create Bigint.one))
+      ignore (Montgomery.create Bigint.one));
+  Alcotest.check_raises "negative exponent"
+    (Invalid_argument "Montgomery.pow: negative exponent") (fun () ->
+      ignore (Montgomery.pow (Montgomery.create p97) Bigint.two Bigint.minus_one))
 
-let test_zmod_pow_delegates_above_threshold () =
-  (* At 512 bits Zmod.pow runs through the Montgomery fast path; the
+let test_group_context_above_threshold () =
+  (* A 512-bit group owns a context and runs Group.pow on it; the
      result must still satisfy the subgroup identity. *)
   Alcotest.(check bool) "threshold sane" true
-    (Montgomery.auto_threshold_bits > 128 && Montgomery.auto_threshold_bits <= 512);
+    (Montgomery.threshold_bits > 128 && Montgomery.threshold_bits <= 512);
   let g = Group.standard ~bits:512 in
-  check_bigint "z1^q = 1 via fast path" Bigint.one
-    (Zmod.pow g.Group.p g.Group.z1 g.Group.q);
-  (* Counters still track exponentiations on the fast path. *)
+  Alcotest.(check bool) "512-bit group has a context" true
+    (Option.is_some g.Group.mont);
+  Alcotest.(check bool) "256-bit group has none" true
+    (Option.is_none (Group.standard ~bits:256).Group.mont);
+  Alcotest.(check bool) "even modulus has none" true
+    (Option.is_none (Montgomery.for_modulus (Bigint.shift_left Bigint.one 600)));
+  check_bigint "z1^q = 1 via the context" Bigint.one
+    (Group.pow g g.Group.z1 g.Group.q);
+  (* Counters still track exponentiations on the context. *)
   Zmod.Counters.reset ();
   Zmod.Counters.enable ();
-  ignore (Zmod.pow g.Group.p g.Group.z2 (bi "123456789"));
+  ignore (Group.pow g g.Group.z2 (bi "123456789"));
   Zmod.Counters.disable ();
   Alcotest.(check int) "pow counted" 1 (Zmod.Counters.exponentiations ());
   Alcotest.(check bool) "muls counted" true (Zmod.Counters.multiplications () > 0)
@@ -343,10 +423,15 @@ let () =
           prop_egcd_divides ];
       ("montgomery",
        [ Alcotest.test_case "matches zmod" `Quick test_montgomery_matches_zmod;
+         Alcotest.test_case "limb widths 1 to 35" `Quick test_montgomery_limb_widths;
          Alcotest.test_case "edge cases" `Quick test_montgomery_edge_cases;
+         Alcotest.test_case "standard 512 and 1024-bit groups" `Quick
+           test_montgomery_standard_groups;
+         Alcotest.test_case "shared across threads" `Quick
+           test_montgomery_shared_across_threads;
          Alcotest.test_case "validation" `Quick test_montgomery_validation;
-         Alcotest.test_case "fast-path delegation" `Quick
-           test_zmod_pow_delegates_above_threshold ]);
+         Alcotest.test_case "group context above threshold" `Quick
+           test_group_context_above_threshold ]);
       ("primality",
        [ Alcotest.test_case "small prime table" `Quick test_small_primes_sound;
          Alcotest.test_case "known primes" `Quick test_known_primes;

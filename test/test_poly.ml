@@ -178,6 +178,37 @@ let prop_rho_weights_sum_correctly =
       Bigint.equal Bigint.one
         (Array.fold_left (fun acc x -> Zmod.add q acc x) Bigint.zero r))
 
+(* The pairwise formula ρ_j = Π_{i≠j} α_i / (α_i − α_j), one division
+   per factor: the reference the batched-inversion [rho] must match. *)
+let rho_pairwise ~modulus points =
+  Array.mapi
+    (fun j aj ->
+      let acc = ref Bigint.one in
+      Array.iteri
+        (fun i ai ->
+          if i <> j then
+            acc := Zmod.mul modulus !acc (Zmod.div modulus ai (Zmod.sub modulus ai aj)))
+        points;
+      !acc)
+    points
+
+let prop_rho_matches_pairwise =
+  QCheck.Test.make ~count:200 ~name:"rho = pairwise formula"
+    QCheck.(pair (int_range 1 12) int)
+    (fun (s, seed) ->
+      (* Distinct nonzero points drawn from all of Z_q, not just 1..s. *)
+      let g = Prng.create ~seed in
+      let rec draw acc =
+        if List.length acc = s then Array.of_list acc
+        else
+          let a = Prng.in_range g ~lo:Bigint.one ~hi:(Bigint.sub q Bigint.one) in
+          draw (if List.exists (Bigint.equal a) acc then acc else a :: acc)
+      in
+      let points = draw [] in
+      Array.for_all2 Bigint.equal
+        (rho_pairwise ~modulus:q points)
+        (Lagrange.rho ~modulus:q points))
+
 (* ------------------------------------------------------------------ *)
 (* Degree resolution                                                   *)
 
@@ -363,7 +394,8 @@ let () =
          Alcotest.test_case "rejects bad points" `Quick test_lagrange_rejects_bad_points;
          Alcotest.test_case "underdetermined nonzero" `Quick
            test_lagrange_underdetermined_nonzero ]);
-      qsuite "lagrange properties" [ prop_rho_weights_sum_correctly ];
+      qsuite "lagrange properties"
+        [ prop_rho_weights_sum_correctly; prop_rho_matches_pairwise ];
       ("degree resolution",
        [ Alcotest.test_case "exact recovery" `Quick test_resolution_exact;
          Alcotest.test_case "threshold behaviour" `Quick test_resolution_test_threshold;

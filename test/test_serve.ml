@@ -139,6 +139,53 @@ let test_service_waves () =
     (Serve.await t 999 = None);
   Dmw_obs.Metrics.disable ()
 
+(* [f ()] must return within [seconds]; a blocked call fails the test
+   instead of hanging it. *)
+let returns_promptly ?(seconds = 5.0) label f =
+  let result = Atomic.make None in
+  ignore (Thread.create (fun () -> Atomic.set result (Some (f ()))) ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec poll () =
+    match Atomic.get result with
+    | Some r -> r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail (label ^ ": blocked")
+        else begin
+          Thread.delay 0.005;
+          poll ()
+        end
+  in
+  poll ()
+
+let test_results_released () =
+  let cfg = Serve.config ~group_bits:16 ~seed:5 ~n:4 ~c:1 ~max_wave:8 () in
+  let t = Serve.create cfg in
+  Alcotest.(check bool) "never-accepted id" true
+    (returns_promptly "await of an unknown id" (fun () -> Serve.await t 10_000)
+    = None);
+  (* A closed loop with 16 jobs outstanding, as a client would run it. *)
+  let outstanding = Queue.create () in
+  let submitted = ref 0 in
+  let offer () =
+    if !submitted < 200 then begin
+      incr submitted;
+      Queue.push (submit_ok t [| 1 + (!submitted mod 2); 2; 1; 2 |]) outstanding
+    end
+  in
+  for _ = 1 to 16 do offer () done;
+  let first = Queue.peek outstanding in
+  while not (Queue.is_empty outstanding) do
+    ignore (await_ok t (Queue.pop outstanding));
+    offer ()
+  done;
+  Alcotest.(check bool) "second await of a delivered id" true
+    (returns_promptly "repeated await" (fun () -> Serve.await t first) = None);
+  let s = Serve.stats t in
+  Alcotest.(check int) "200 jobs settled" 200 s.Serve.jobs;
+  Alcotest.(check int) "no settled result retained" 0 s.Serve.unclaimed;
+  Serve.shutdown t
+
 (* ------------------------------------------------------------------ *)
 (* Front door                                                          *)
 
@@ -187,4 +234,6 @@ let () =
       ("service",
        [ Alcotest.test_case "waves, spans and reproducibility" `Slow
            test_service_waves;
+         Alcotest.test_case "results released once awaited" `Slow
+           test_results_released;
          Alcotest.test_case "front door protocol" `Slow test_front_door ]) ]
