@@ -774,11 +774,14 @@ module Front = struct
     loop ();
     Mailbox.close replies
 
+  (* After a failed write the client is gone, but its remaining ids are
+     still awaited and their results dropped: each result leaves the
+     service only through its one [await]. *)
   let writer t fd replies () =
-    let rec loop () =
+    let rec loop ~connected =
       match Mailbox.pop replies with
       | None -> ()
-      | Some reply -> (
+      | Some reply ->
           let line =
             match reply with
             | Line s -> s
@@ -787,14 +790,24 @@ module Front = struct
                 | Some r -> result_line r
                 | None -> Printf.sprintf "failed %d service stopped" id)
           in
-          match write_line fd line with
-          | () -> loop ()
-          | exception Unix.Unix_error (_, _, _) -> ())
+          let connected =
+            connected
+            &&
+            match write_line fd line with
+            | () -> true
+            | exception Unix.Unix_error (_, _, _) -> false
+          in
+          loop ~connected
     in
-    loop ();
+    loop ~connected:true;
     try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
   let start t ~socket_path =
+    (* A client may disconnect before its results are written. The
+       default SIGPIPE action would then kill the whole daemon inside
+       [write_line]; ignored, the write fails with EPIPE and only that
+       client's writer notices. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (try Unix.unlink socket_path with Unix.Unix_error (_, _, _) -> ());
     let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind listen_fd (Unix.ADDR_UNIX socket_path);

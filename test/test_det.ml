@@ -143,6 +143,41 @@ let test_unreadable_cmt () =
   Alcotest.(check (list string)) "cmt error surfaces" [ "cmt" ]
     (List.map (fun v -> v.Det.rule) vs)
 
+(* Det.to_json of the run below. *)
+let full_report =
+  {|[{"file":"lib/fixtures/clock_to_wal.ml","line":8,"col":2,"rule":"D-wal","message":"a wall-clock reading reaches Dmw_wal.append — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/clock_to_wire.ml","line":6,"col":2,"rule":"D-wire","message":"a wall-clock reading reaches Frame.write — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/interproc.ml","line":8,"col":2,"rule":"D-audit","message":"a wall-clock reading reaches Audit.log — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/stale_annot.ml","line":10,"col":0,"rule":"stale-det","message":"(* det: sorted *) suppresses nothing here: the crossing it excused is gone — delete the annotation"},
+ {"file":"lib/fixtures/stale_annot.ml","line":14,"col":0,"rule":"D-annot","message":"unknown det keyword 'lucky': the annotation must name the sanctioned regime — one of wallclock, timeout, obs-only, sorted"},
+ {"file":"lib/fixtures/stale_annot.ml","line":15,"col":2,"rule":"D-wire","message":"a wall-clock reading reaches Frame.write — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/unseeded_random.ml","line":6,"col":16,"rule":"D-random","message":"call into the ambient Stdlib.Random state — draw from a Dmw_bigint.Prng.t created from the run seed instead, or derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/unseeded_random.ml","line":8,"col":16,"rule":"D-random","message":"call into the ambient Stdlib.Random state — draw from a Dmw_bigint.Prng.t created from the run seed instead, or derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/unsorted_consensus.ml","line":6,"col":2,"rule":"D-consensus","message":"a Hashtbl-iteration-order dependent value reaches Schedule.create — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"}]
+|}
+
+(* Every fixture in one run, under the rule paths the cases above use
+   (with the annotated sources in view). This pins the whole report,
+   messages and columns included, which the (rule, line) checks above
+   do not cover. *)
+let test_full_report () =
+  let src f = Some (Analysis_kit.Fs.read_file ("det_fixtures/" ^ f)) in
+  let vs =
+    Det.analyze
+      [ input ~rule_path:"lib/fixtures/clock_to_wire.ml" "Clock_to_wire";
+        input ~rule_path:"lib/fixtures/clock_to_wal.ml" "Clock_to_wal";
+        input ~rule_path:"lib/fixtures/unsorted_consensus.ml"
+          "Unsorted_consensus";
+        input ~rule_path:"lib/fixtures/unseeded_random.ml" "Unseeded_random";
+        input ~rule_path:"lib/fixtures/det_helper.ml" "Det_helper";
+        input ~rule_path:"lib/fixtures/interproc.ml" "Interproc";
+        input ~rule_path:"lib/fixtures/near_miss.ml" "Near_miss";
+        input ~rule_path:"lib/fixtures/stale_annot.ml"
+          ?source:(src "stale_annot.ml") "Stale_annot" ]
+  in
+  Alcotest.(check string)
+    "full json report" full_report (Det.to_json vs)
+
 let () =
   Alcotest.run "dmw_det"
     [ ( "flows",
@@ -158,4 +193,6 @@ let () =
             test_lint_handoff;
           Alcotest.test_case "human and json output" `Quick test_output_modes;
           Alcotest.test_case "unreadable cmt is a violation" `Quick
-            test_unreadable_cmt ] ) ]
+            test_unreadable_cmt;
+          Alcotest.test_case "full report over every fixture" `Quick
+            test_full_report ] ) ]

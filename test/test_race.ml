@@ -132,6 +132,43 @@ let test_unreadable_cmt () =
   Alcotest.(check (list string)) "cmt error surfaces" [ "cmt" ]
     (List.map (fun v -> v.Race.rule) vs)
 
+(* Race.to_json of the run below. *)
+let full_report =
+  {|[{"file":"lib/fixtures/bare_mutex.ml","line":5,"col":4,"rule":"R-unguarded","message":"mutable cell Bare_mutex.cell (ref) is accessed without a lock at lib/fixtures/bare_mutex.ml:9 — guard it with Mutex_util.with_lock, make it Atomic.t, or justify confinement: (* race: confined <owner|router|agent|sim|extern|readonly>: reason *)"},
+ {"file":"lib/fixtures/bare_mutex.ml","line":8,"col":2,"rule":"R-bare","message":"bare Mutex.lock outside the exception-safe wrapper shape — use Mutex_util.with_lock (or Mutex.lock l; Fun.protect ~finally:(fun () -> Mutex.unlock l))"},
+ {"file":"lib/fixtures/bare_mutex.ml","line":10,"col":2,"rule":"R-bare","message":"bare Mutex.unlock outside the exception-safe wrapper shape — use Mutex_util.with_lock (or Mutex.lock l; Fun.protect ~finally:(fun () -> Mutex.unlock l))"},
+ {"file":"lib/fixtures/inconsistent.ml","line":6,"col":4,"rule":"R-lockset","message":"mutable cell Inconsistent.table (Hashtbl.t) has no consistent lockset: {Inconsistent.lock_a} at lib/fixtures/inconsistent.ml:10, {Inconsistent.lock_b} at lib/fixtures/inconsistent.ml:14 — pick one lock for every access, or guard it with Mutex_util.with_lock, make it Atomic.t, or justify confinement: (* race: confined <owner|router|agent|sim|extern|readonly>: reason *)"},
+ {"file":"lib/fixtures/order_cycle.ml","line":9,"col":6,"rule":"R-order","message":"lock-order cycle between Order_cycle.lock_a, Order_cycle.lock_b — nested acquisitions must order locks consistently or this can deadlock"},
+ {"file":"lib/fixtures/stale_confine.ml","line":6,"col":0,"rule":"stale-confine","message":"(* race: confined owner *) excuses nothing here: the cell it covered is gone, guarded, or atomic — delete the annotation"},
+ {"file":"lib/fixtures/stale_confine.ml","line":9,"col":0,"rule":"R-annot","message":"unknown confinement keyword 'everywhere': the annotation must name the confinement regime — one of owner, router, agent, sim, extern, readonly"},
+ {"file":"lib/fixtures/stale_confine.ml","line":10,"col":4,"rule":"R-unguarded","message":"mutable cell Stale_confine.other (ref) is accessed without a lock at lib/fixtures/stale_confine.ml:13, lib/fixtures/stale_confine.ml:13 — guard it with Mutex_util.with_lock, make it Atomic.t, or justify confinement: (* race: confined <owner|router|agent|sim|extern|readonly>: reason *)"},
+ {"file":"lib/fixtures/unguarded_ref.ml","line":4,"col":4,"rule":"R-unguarded","message":"mutable cell Unguarded_ref.hits (ref) is accessed without a lock at lib/fixtures/unguarded_ref.ml:9, lib/fixtures/unguarded_ref.ml:9, lib/fixtures/unguarded_ref.ml:10 — guard it with Mutex_util.with_lock, make it Atomic.t, or justify confinement: (* race: confined <owner|router|agent|sim|extern|readonly>: reason *)"},
+ {"file":"lib/fixtures/unguarded_ref.ml","line":6,"col":14,"rule":"R-unguarded","message":"mutable cell Unguarded_ref.slab.cache (Hashtbl.t) is accessed without a lock at lib/fixtures/unguarded_ref.ml:11 — guard it with Mutex_util.with_lock, make it Atomic.t, or justify confinement: (* race: confined <owner|router|agent|sim|extern|readonly>: reason *)"}]
+|}
+
+(* Every fixture in one run, under the rule paths the cases above use
+   (with the annotated sources in view). This pins the whole report,
+   messages and columns included, which the (rule, line) checks above
+   do not cover. *)
+let test_full_report () =
+  let src f = Some (Analysis_kit.Fs.read_file ("race_fixtures/" ^ f)) in
+  let vs =
+    Race.analyze
+      [ input ~rule_path:"lib/fixtures/unguarded_ref.ml" "Unguarded_ref";
+        input ~rule_path:"lib/fixtures/inconsistent.ml" "Inconsistent";
+        input ~rule_path:"lib/fixtures/order_cycle.ml" "Order_cycle";
+        input ~rule_path:"lib/fixtures/bare_mutex.ml" "Bare_mutex";
+        input ~rule_path:"lib/fixtures/atomic_ok.ml" "Atomic_ok";
+        input ~rule_path:"lib/fixtures/wrapper_ok.ml" "Wrapper_ok";
+        input ~rule_path:"lib/fixtures/interproc.ml" "Interproc";
+        input ~rule_path:"lib/fixtures/confined_ok.ml"
+          ?source:(src "confined_ok.ml") "Confined_ok";
+        input ~rule_path:"lib/fixtures/stale_confine.ml"
+          ?source:(src "stale_confine.ml") "Stale_confine" ]
+  in
+  Alcotest.(check string)
+    "full json report" full_report (Race.to_json vs)
+
 let () =
   Alcotest.run "dmw_race"
     [ ( "locksets",
@@ -146,4 +183,6 @@ let () =
             test_lint_handoff;
           Alcotest.test_case "human and json output" `Quick test_output_modes;
           Alcotest.test_case "unreadable cmt is a violation" `Quick
-            test_unreadable_cmt ] ) ]
+            test_unreadable_cmt;
+          Alcotest.test_case "full report over every fixture" `Quick
+            test_full_report ] ) ]

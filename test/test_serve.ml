@@ -228,6 +228,37 @@ let test_front_door () =
   Serve.shutdown t;
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
+let test_client_gone () =
+  (* A client that submits and hangs up at once: the daemon must
+     survive writing to the closed socket, and the results nobody will
+     read must still leave the service. *)
+  let cfg =
+    Serve.config ~group_bits:16 ~seed:11 ~n:4 ~c:1 ~wave_window:0.05 ()
+  in
+  let t = Serve.create cfg in
+  let path = Filename.temp_file "dmw_serve_gone" ".sock" in
+  let front = Serve.Front.start t ~socket_path:path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  let s = "submit 2,1,2,1\nsubmit 1,2,2,1\nsubmit 2,2,1,1\n" in
+  ignore (Unix.write_substring fd s 0 (String.length s) : int);
+  Unix.close fd;
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec settle () =
+    let st = Serve.stats t in
+    if st.Serve.jobs = 3 && st.Serve.unclaimed = 0 then st
+    else if Unix.gettimeofday () > deadline then st
+    else begin
+      Thread.delay 0.01;
+      settle ()
+    end
+  in
+  let st = settle () in
+  Alcotest.(check int) "three jobs settled" 3 st.Serve.jobs;
+  Alcotest.(check int) "no result left unclaimed" 0 st.Serve.unclaimed;
+  Serve.Front.stop front;
+  Serve.shutdown t
+
 let () =
   Alcotest.run "dmw_serve"
     [ ("queue", [ Alcotest.test_case "backpressure" `Quick test_bounded_queue ]);
@@ -236,4 +267,6 @@ let () =
            test_service_waves;
          Alcotest.test_case "results released once awaited" `Slow
            test_results_released;
-         Alcotest.test_case "front door protocol" `Slow test_front_door ]) ]
+         Alcotest.test_case "front door protocol" `Slow test_front_door;
+         Alcotest.test_case "client gone before its results" `Slow
+           test_client_gone ]) ]

@@ -128,6 +128,40 @@ let test_unreadable_cmt () =
   Alcotest.(check (list string)) "cmt error surfaces" [ "cmt" ]
     (List.map (fun v -> v.Taint.rule) vs)
 
+(* Taint.to_json of the run below. *)
+let full_report =
+  {|[{"file":"lib/core/leak_bid.ml","line":5,"col":2,"rule":"T-trace","message":"an agent bid reaches Trace.record — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/core/leak_obs.ml","line":6,"col":19,"rule":"T-log","message":"an agent bid reaches Dmw_obs.Metrics.set — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/crypto/annotated.ml","line":8,"col":0,"rule":"stale-declassify","message":"(* taint: declassify pedersen *) suppresses nothing here: the crossing it excused is gone — delete the annotation"},
+ {"file":"lib/crypto/annotated.ml","line":11,"col":0,"rule":"T-annot","message":"unknown declassify keyword 'spectre': the annotation must name the sanctioned declassifier family — one of pedersen, share, exponent, disclosure"},
+ {"file":"lib/crypto/leak_dealer.ml","line":4,"col":2,"rule":"T-msg","message":"secret dealer state (polynomial coefficients or tau) reaches the Messages.F_disclosure constructor — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/crypto/leak_interproc.ml","line":4,"col":2,"rule":"T-msg","message":"a raw PRNG draw reaches the Messages.F_disclosure constructor — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/crypto/leak_prng.ml","line":6,"col":2,"rule":"T-msg","message":"a raw PRNG draw reaches the Messages.F_disclosure constructor — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/crypto/leak_share.ml","line":3,"col":2,"rule":"T-log","message":"a share evaluation field (e_at/f_at/g_at/h_at) reaches Format.fprintf — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"}]
+|}
+
+(* Every fixture in one run, under the rule paths the cases above use
+   (with the annotated sources in view). This pins the whole report,
+   messages and columns included, which the (rule, line) checks above
+   do not cover. *)
+let test_full_report () =
+  let src f = Some (Analysis_kit.Fs.read_file ("taint_fixtures/" ^ f)) in
+  let vs =
+    Taint.analyze
+      [ input ~rule_path:"lib/crypto/leak_prng.ml" "Leak_prng";
+        input ~rule_path:"lib/crypto/leak_share.ml" "Leak_share";
+        input ~rule_path:"lib/crypto/leak_dealer.ml" "Leak_dealer";
+        input ~rule_path:"lib/core/leak_bid.ml" "Leak_bid";
+        input ~rule_path:"lib/core/leak_obs.ml" "Leak_obs";
+        input ~rule_path:"lib/crypto/near_miss.ml" "Near_miss";
+        input ~rule_path:"lib/crypto/leak_helper.ml" "Leak_helper";
+        input ~rule_path:"lib/crypto/leak_interproc.ml" "Leak_interproc";
+        input ~rule_path:"lib/crypto/annotated.ml"
+          ?source:(src "annotated.ml") "Annotated" ]
+  in
+  Alcotest.(check string)
+    "full json report" full_report (Taint.to_json vs)
+
 let () =
   Alcotest.run "dmw_taint"
     [ ( "flows",
@@ -142,4 +176,6 @@ let () =
         [ Alcotest.test_case "annotation scoping" `Quick test_annotations;
           Alcotest.test_case "human and json output" `Quick test_output_modes;
           Alcotest.test_case "unreadable cmt is a violation" `Quick
-            test_unreadable_cmt ] ) ]
+            test_unreadable_cmt;
+          Alcotest.test_case "full report over every fixture" `Quick
+            test_full_report ] ) ]

@@ -1,6 +1,7 @@
-(* Shared machinery for dmw_lint and dmw_taint: reporting, the
-   escape-hatch scanner with stale tracking, file walking and the CLI
-   driver. See analysis_kit.mli. *)
+(* Shared machinery for the four static-analysis passes: reporting,
+   the escape-hatch scanner with its hygiene findings, file walking, the
+   CLI driver and the .cmt layer of the three Typedtree passes. See
+   analysis_kit.mli. *)
 
 module Report = struct
   type violation = {
@@ -138,7 +139,28 @@ module Allow = struct
       allows;
     !hit
 
-  let stale allows = List.filter (fun a -> not a.used) allows
+  type spec = {
+    marker : string;
+    keywords : string list;
+    unknown : string * (string -> string);
+    stale : string * (string -> string);
+  }
+
+  let hygiene spec ~file allows =
+    List.filter_map
+      (fun a ->
+        let finding (rule, message) =
+          Some
+            { Report.file;
+              line = a.line;
+              col = 0;
+              rule;
+              message = message a.keyword }
+        in
+        if not (List.mem a.keyword spec.keywords) then finding spec.unknown
+        else if not a.used then finding spec.stale
+        else None)
+      allows
 end
 
 module Cli = struct
@@ -170,4 +192,172 @@ module Cli = struct
         (List.length files) (List.length violations)
     end;
     exit (if violations = [] then 0 else 1)
+end
+
+module Cmt = struct
+  open Typedtree
+
+  type input = {
+    cmt_path : string;
+    rule_path : string option;
+    source : string option;
+  }
+
+  type unit_ = {
+    unit_name : string;
+    rule_path : string;
+    structure : structure;
+    allows : Allow.t list;
+  }
+
+  (* "Dmw_crypto__Share.t" and "Dmw_crypto.Share.t" both become
+     ["Dmw_crypto"; "Share"; "t"]. *)
+  let comps_of_name s =
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let i = ref 0 in
+    while !i < n do
+      if !i + 1 < n && s.[!i] = '_' && s.[!i + 1] = '_' then begin
+        Buffer.add_char buf '.';
+        i := !i + 2
+      end
+      else begin
+        Buffer.add_char buf s.[!i];
+        incr i
+      end
+    done;
+    String.split_on_char '.' (Buffer.contents buf)
+
+  (* A bare local name is qualified with the current unit so that
+     agent.ml's own [t] reads as [Agent.t]. *)
+  let key_of ~unit_name path =
+    match List.rev (comps_of_name (Path.name path)) with
+    | [ x ] -> Some (unit_name, x)
+    | v :: m :: _ -> Some (m, v)
+    | [] -> None
+
+  (* Record-field types and `let x : τ` annotations are wrapped in Tpoly
+     in the typedtree; peel it before inspecting the constructor. *)
+  let rec unpoly ty =
+    match Types.get_desc ty with Types.Tpoly (t, _) -> unpoly t | _ -> ty
+
+  let type_last2 ~unit_name ty =
+    match Types.get_desc (unpoly ty) with
+    | Types.Tconstr (p, _, _) -> key_of ~unit_name p
+    | _ -> None
+
+  let sub_exprs e =
+    let acc = ref [] in
+    let it =
+      { Tast_iterator.default_iterator with
+        expr = (fun _ e' -> acc := e' :: !acc) }
+    in
+    Tast_iterator.default_iterator.expr it e;
+    List.rev !acc
+
+  let rec spine ~unit_name (e : expression) =
+    match e.exp_desc with
+    | Texp_apply (f, args) -> (
+        let h, a0 = spine ~unit_name f in
+        let args = a0 @ args in
+        match (head_key ~unit_name h, args) with
+        | Some ("Stdlib", "@@"), [ (_, Some f'); x ]
+        | Some ("Stdlib", "|>"), [ x; (_, Some f') ] ->
+            let h', a' = spine ~unit_name f' in
+            (h', a' @ [ x ])
+        | _ -> (h, args))
+    | _ -> (e, [])
+
+  and head_key ~unit_name (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> key_of ~unit_name p
+    | _ -> None
+
+  (* "Dmw_core__Agent" -> "Agent": what follows the last "__". *)
+  let unit_of_modname m =
+    let rec after_last i =
+      match Fs.find_substring ~start:i m "__" with
+      | Some j -> after_last (j + 2)
+      | None -> i
+    in
+    let s = after_last 0 in
+    String.sub m s (String.length m - s)
+
+  let failure file what exn =
+    { Report.file;
+      line = 1;
+      col = 0;
+      rule = "cmt";
+      message = what ^ ": " ^ Printexc.to_string exn }
+
+  let load ~marker errors input =
+    match Cmt_format.read_cmt input.cmt_path with
+    | exception exn ->
+        errors := failure input.cmt_path "cannot read cmt" exn :: !errors;
+        None
+    | { cmt_annots = Implementation structure; cmt_sourcefile; cmt_modname; _ }
+      -> (
+        let rule_path =
+          match (input.rule_path, cmt_sourcefile) with
+          | Some p, _ -> Some (Fs.normalize p)
+          | None, Some f when Filename.check_suffix f ".ml" ->
+              Some (Fs.normalize f)
+          | None, _ -> None (* dune namespace/alias modules *)
+        in
+        match rule_path with
+        | None -> None
+        | Some rule_path ->
+            let source =
+              match input.source with
+              | Some s -> Some s
+              | None -> (
+                  try Some (Fs.read_file rule_path) with Sys_error _ -> None)
+            in
+            let allows =
+              match source with Some s -> Allow.scan ~marker s | None -> []
+            in
+            Some
+              { unit_name = unit_of_modname cmt_modname;
+                rule_path;
+                structure;
+                allows })
+    | _ -> None
+
+  let inputs paths =
+    List.map
+      (fun cmt_path -> { cmt_path; rule_path = None; source = None })
+      paths
+
+  let analyze (spec : Allow.spec) ~changed ~visit ~finish inputs =
+    let errors = ref [] in
+    let units = List.filter_map (load ~marker:spec.marker errors) inputs in
+    let out = ref [] in
+    let run ~emit u =
+      try visit ~emit ~out u
+      with exn ->
+        errors := failure u.rule_path "analysis failed" exn :: !errors
+    in
+    let rounds = ref 0 in
+    while !changed && !rounds < 12 do
+      changed := false;
+      incr rounds;
+      List.iter (run ~emit:false) units
+    done;
+    List.iter (run ~emit:true) units;
+    finish out;
+    List.iter
+      (fun u ->
+        let found = Allow.hygiene spec ~file:u.rule_path u.allows in
+        out := List.rev_append found !out)
+      units;
+    let sorted = List.sort Report.by_position (!out @ !errors) in
+    let rec dedup = function
+      | (a : Report.violation) :: b :: rest
+        when a.file = b.file && a.line = b.line && a.col = b.col
+             && a.rule = b.rule ->
+          dedup (b :: rest)
+      | a :: rest -> a :: dedup rest
+      | [] -> []
+    in
+    dedup sorted
 end

@@ -1,36 +1,8 @@
-(* Typedtree determinism-flow analysis over .cmt files. See det.mli
-   for the source/sink model and its mapping to the replay guarantees;
-   DESIGN.md "Determinism boundary" for the rationale.
+(* The determinism policy for the shared flow engine (flow.ml). See
+   det.mli for the source/sink model and its mapping to the replay
+   guarantees; DESIGN.md "Determinism boundary" for the rationale. *)
 
-   The propagation is a forward may-taint analysis in the same style
-   as taint.ml: [eval] returns the set of nondeterminism classes an
-   expression's value may carry and emits a violation whenever a
-   concretely-tainted value reaches a determinism-critical sink. Each
-   top-level binding gets a summary — its return taint computed with
-   parameters bound to the distinguished ["@param"] class, plus the
-   sinks its parameters flow into — iterated to a fixpoint across all
-   loaded units. Application spines are re-associated through [@@] and
-   [|>] (race.ml's trick) so that the canonical
-   [Hashtbl.fold ... |> List.sort cmp] normalization is recognized:
-   a sort strips the [hashorder] class and nothing else.
-
-   Deliberate approximations, documented here once: conditions do not
-   taint branches (no implicit flows — a wall-clock read that only
-   decides {e when} a deterministic message is sent does not make its
-   payload nondeterministic, which is exactly the timeout regime the
-   protocol relies on); values stored into containers by effectful
-   calls (Hashtbl.add / Mailbox.push) lose their taint; closures
-   stored in records lose their parameter-sink summaries; and a
-   commutative reduction (min/max folds) over an unordered iteration
-   is still flagged — normalize with a sort instead of asking the
-   analysis to prove commutativity. *)
-
-open Typedtree
-module Report = Analysis_kit.Report
-module Allow = Analysis_kit.Allow
-module Fs = Analysis_kit.Fs
-
-type violation = Report.violation = {
+type violation = Analysis_kit.Report.violation = {
   file : string;
   line : int;
   col : int;
@@ -38,17 +10,11 @@ type violation = Report.violation = {
   message : string;
 }
 
-type input = {
+type input = Analysis_kit.Cmt.input = {
   cmt_path : string;
   rule_path : string option;
   source : string option;
 }
-
-module S = Set.Make (String)
-
-let param_class = "@param"
-let param_taint = S.singleton param_class
-let concrete t = S.remove param_class t
 
 let sanctioned_keywords = [ "wallclock"; "timeout"; "obs-only"; "sorted" ]
 
@@ -59,48 +25,10 @@ let describe = function
   | "env" -> "an environment read"
   | c -> c
 
-(* ------------------------------------------------------------------ *)
-(* Paths and types (same conventions as taint.ml)                      *)
-(* ------------------------------------------------------------------ *)
-
-let comps_of_name s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && s.[!i] = '_' && s.[!i + 1] = '_' then begin
-      Buffer.add_char buf '.';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  String.split_on_char '.' (Buffer.contents buf)
-
-let qualify ~unit_name = function
-  | [ x ] -> [ unit_name; x ]
-  | comps -> comps
-
-let last2 comps =
-  match List.rev comps with
-  | v :: m :: _ -> Some (m, v)
-  | _ -> None
-
-let key_of ~unit_name path =
-  last2 (qualify ~unit_name (comps_of_name (Path.name path)))
-
-let type_last2 ~unit_name ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) ->
-      last2 (qualify ~unit_name (comps_of_name (Path.name p)))
-  | _ -> None
-
-(* The global [Stdlib.Random] family (including [Random.State]) in any
-   spelling — the same surface the linter's syntactic R3 patrols. The
-   repo's own seeded generator is [Prng] and never matches. *)
-let is_random_path path = List.mem "Random" (comps_of_name (Path.name path))
+let det_hint =
+  "derive the value from (seed, params), normalize the iteration with \
+   a sort, or annotate the sanctioned crossing: (* det: \
+   <wallclock|timeout|obs-only|sorted>: reason *)"
 
 (* ------------------------------------------------------------------ *)
 (* Policy tables                                                       *)
@@ -139,7 +67,7 @@ let sanitizer (_, v) =
   List.mem v
     [ "equal"; "compare"; "length"; "mem"; "is_empty"; "hash"; "not";
       "ignore"; "="; "<>"; "<"; ">"; "<="; ">="; "&&"; "||" ]
-  || Fs.has_prefix "is_" v
+  || Analysis_kit.Fs.has_prefix "is_" v
 
 (* Determinism-critical sinks. [D-obs] is a distinct regime: the
    observability surface exists to record wall times, so [wallclock]
@@ -167,599 +95,67 @@ let sink_fn (m, v) =
       Some ("D-obs", "Dmw_obs.Export." ^ v)
   | _ -> None
 
+let apply () k : Flow.verdict option =
+  if sort_fn k then Some (Strips "hashorder")
+  else if sanitizer k then Some Clean
+  else
+    match (source_fn k, sink_fn k) with
+    | Some cls, _ -> Some (Source cls)
+    | None, Some (rule, sink) -> Some (Sink (rule, sink))
+    | None, None ->
+        if hashtbl_iteration k then Some (Iterates "hashorder") else None
+
 (* Record types whose construction is itself a sink: the unified
    result record is the consensus signature's carrier, and the backend
    info record feeds it. *)
 let record_sink = function
-  | Some ("Dmw_exec", ("result" as t)) | Some ("Dmw_exec", ("info" as t)) ->
+  | "Dmw_exec", (("result" | "info") as t) ->
       Some ("D-consensus", "the Dmw_exec." ^ t ^ " record")
   | _ -> None
 
-(* Container HOFs, as in taint.ml: element taint reaches the closure's
-   parameters; a transform's result is the closure's output only. *)
-let hof_transform v =
-  List.mem v
-    [ "map"; "mapi"; "map2"; "rev_map"; "filter_map"; "concat_map"; "init" ]
-
-let hof_other v =
-  List.mem v
-    [ "iter"; "iteri"; "iter2"; "fold_left"; "fold_right"; "filter";
-      "partition"; "find_opt"; "find_map" ]
-
-let is_hof (m, v) =
-  (m = "Array" || m = "List") && (hof_transform v || hof_other v)
-
-(* ------------------------------------------------------------------ *)
-(* Summaries                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type summary = { ret : S.t; psinks : (string * string) list }
-
-type ctx = {
-  unit_name : string;
-  rule_path : string;
-  allows : Allow.t list;
-  summaries : (string, summary) Hashtbl.t;
-  emit : bool;
-  out : Report.violation list ref;
-  changed : bool ref;
-  mutable psinks : (string * string) list;
-}
-
-let summary_find ctx key = Hashtbl.find_opt ctx.summaries key
-
-let summary_set ctx key s =
-  match Hashtbl.find_opt ctx.summaries key with
-  | None ->
-      Hashtbl.replace ctx.summaries key s;
-      if not (S.is_empty s.ret) || s.psinks <> [] then ctx.changed := true
-  | Some old ->
-      let ret = S.union old.ret s.ret in
-      let psinks =
-        old.psinks
-        @ List.filter (fun p -> not (List.mem p old.psinks)) s.psinks
-      in
-      if
-        (not (S.equal ret old.ret))
-        || List.length psinks <> List.length old.psinks
-      then begin
-        Hashtbl.replace ctx.summaries key { ret; psinks };
-        ctx.changed := true
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Environment                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type env = (string, S.t) Hashtbl.t
-
-let env_set (env : env) id t = Hashtbl.replace env (Ident.unique_name id) t
-
-let env_union (env : env) id t =
-  let k = Ident.unique_name id in
-  let old = Option.value (Hashtbl.find_opt env k) ~default:S.empty in
-  Hashtbl.replace env k (S.union old t)
-
-let env_get (env : env) id =
-  Option.value (Hashtbl.find_opt env (Ident.unique_name id)) ~default:S.empty
-
-(* ------------------------------------------------------------------ *)
-(* Violations                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let push ctx ~line ~col ~rule ~message =
-  ctx.out :=
-    { file = ctx.rule_path; line; col; rule; message } :: !(ctx.out)
-
-let det_hint =
-  "derive the value from (seed, params), normalize the iteration with \
-   a sort, or annotate the sanctioned crossing: (* det: \
-   <wallclock|timeout|obs-only|sorted>: reason *)"
-
-let claimed ctx ~line =
-  Allow.claim ctx.allows ~line ~keyword_ok:(fun kw ->
-      List.mem kw sanctioned_keywords)
-
-(* A concretely-tainted value at a sink is a violation (suppressible
-   by an annotation); a parameter-tainted one becomes a parameter sink
-   of the enclosing top-level binding so a leaky helper flags its call
-   sites. The D-obs regime admits wall times — recording them is what
-   the observability layer is for. *)
-let sink_check ctx ?via ~loc ~rule ~sink taint =
-  let taint = if rule = "D-obs" then S.remove "wallclock" taint else taint in
-  let conc = concrete taint in
-  if not (S.is_empty conc) then begin
-    if ctx.emit then begin
-      let p = loc.Location.loc_start in
-      let line = p.Lexing.pos_lnum in
-      let col = p.Lexing.pos_cnum - p.Lexing.pos_bol in
-      if not (claimed ctx ~line) then
-        let via_s =
-          match via with None -> "" | Some f -> Printf.sprintf " via %s" f
-        in
-        push ctx ~line ~col ~rule
-          ~message:
-            (Printf.sprintf "%s reaches %s%s — %s"
-               (String.concat ", " (List.map describe (S.elements conc)))
-               sink via_s det_hint)
-    end;
-    true
-  end
-  else begin
-    if S.mem param_class taint && not (List.mem (rule, sink) ctx.psinks) then
-      ctx.psinks <- (rule, sink) :: ctx.psinks;
-    false
-  end
-
 (* Unseeded randomness is a use-site defect, not a flow: like the
    linter's R3, the draw itself is already unreproducible wherever its
-   value lands — which is what lets D-random subsume R3 under lib/. *)
-let random_violation ctx ~loc =
-  if ctx.emit then begin
-    let p = loc.Location.loc_start in
-    let line = p.Lexing.pos_lnum in
-    let col = p.Lexing.pos_cnum - p.Lexing.pos_bol in
-    if not (claimed ctx ~line) then
-      push ctx ~line ~col ~rule:"D-random"
-        ~message:
-          ("call into the ambient Stdlib.Random state — draw from a \
-            Dmw_bigint.Prng.t created from the run seed instead, or " ^ det_hint)
-  end
+   value lands — which is what lets D-random subsume R3 under lib/.
+   The global [Stdlib.Random] family (including [Random.State]) in any
+   spelling is the same surface the linter's syntactic R3 patrols; the
+   repo's own seeded generator is [Prng] and never matches. *)
+let use_site path =
+  if List.mem "Random" (Analysis_kit.Cmt.comps_of_name (Path.name path)) then
+    Some
+      ( "D-random",
+        "call into the ambient Stdlib.Random state — draw from a \
+         Dmw_bigint.Prng.t created from the run seed instead, or " ^ det_hint )
+  else None
 
-(* ------------------------------------------------------------------ *)
-(* The evaluator                                                       *)
-(* ------------------------------------------------------------------ *)
+let policy : unit Flow.policy =
+  { annotations =
+      { marker = "det: ";
+        keywords = sanctioned_keywords;
+        unknown =
+          ( "D-annot",
+            fun kw ->
+              Printf.sprintf
+                "unknown det keyword '%s': the annotation must name the \
+                 sanctioned regime — one of %s"
+                kw
+                (String.concat ", " sanctioned_keywords) );
+        stale =
+          ( "stale-det",
+            Printf.sprintf
+              "(* det: %s *) suppresses nothing here: the crossing it \
+               excused is gone — delete the annotation" ) };
+    hint = det_hint;
+    describe;
+    scope_for = (fun _ -> ());
+    apply;
+    field = (fun () ~unit_name:_ _ -> Keeps);
+    msg_rule = "D-wire";
+    record_sink;
+    (* The D-obs regime admits wall times: recording them is what the
+       observability layer is for. *)
+    admitted = (function "D-obs" -> [ "wallclock" ] | _ -> []);
+    use_site }
 
-let subst base args =
-  if S.mem param_class base then S.union (S.remove param_class base) args
-  else base
-
-let bind_pattern : type k. env -> k general_pattern -> S.t -> unit =
- fun env p t -> List.iter (fun id -> env_set env id t) (pat_bound_idents p)
-
-let sub_exprs e =
-  let acc = ref [] in
-  let it =
-    { Tast_iterator.default_iterator with
-      expr = (fun _ e' -> acc := e' :: !acc) }
-  in
-  Tast_iterator.default_iterator.expr it e;
-  List.rev !acc
-
-(* Flatten an application spine, re-associating [@@] and [|>] so that
-   [Hashtbl.fold f tbl [] |> List.sort cmp] reads as a direct
-   application of [List.sort]. *)
-let rec spine ~unit_name (e : expression) =
-  match e.exp_desc with
-  | Texp_apply (f, args) -> (
-      let h, a0 = spine ~unit_name f in
-      let args = a0 @ args in
-      match head_key ~unit_name h with
-      | Some ("Stdlib", "@@") -> (
-          match args with
-          | [ (_, Some f'); x ] ->
-              let h', a' = spine ~unit_name f' in
-              (h', a' @ [ x ])
-          | _ -> (h, args))
-      | Some ("Stdlib", "|>") -> (
-          match args with
-          | [ x; (_, Some f') ] ->
-              let h', a' = spine ~unit_name f' in
-              (h', a' @ [ x ])
-          | _ -> (h, args))
-      | _ -> (h, args))
-  | _ -> (e, [])
-
-and head_key ~unit_name (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> key_of ~unit_name p
-  | _ -> None
-
-let rec eval ctx env (e : expression) : S.t =
-  match e.exp_desc with
-  | Texp_constant _ -> S.empty
-  | Texp_ident (path, _, _) -> lookup_value ctx env path
-  | Texp_let (rf, vbs, body) ->
-      process_bindings ctx env rf vbs;
-      eval ctx env body
-  | Texp_function { cases; _ } -> eval_cases ctx env ~ptaint:param_taint cases
-  | Texp_apply _ -> eval_apply ctx env e
-  | Texp_match (scrut, cases, _) ->
-      let st = eval ctx env scrut in
-      eval_cases ctx env ~ptaint:st cases
-  | Texp_try (body, cases) ->
-      S.union (eval ctx env body) (eval_cases ctx env ~ptaint:S.empty cases)
-  | Texp_tuple es | Texp_array es ->
-      List.fold_left (fun acc x -> S.union acc (eval ctx env x)) S.empty es
-  | Texp_construct (_, cstr, args) ->
-      let t =
-        List.fold_left (fun acc x -> S.union acc (eval ctx env x)) S.empty args
-      in
-      if
-        type_last2 ~unit_name:ctx.unit_name cstr.Types.cstr_res
-        = Some ("Messages", "t")
-      then begin
-        ignore
-          (sink_check ctx ~loc:e.exp_loc ~rule:"D-wire"
-             ~sink:("the Messages." ^ cstr.Types.cstr_name ^ " constructor")
-             t);
-        (* Either the payload was deterministic, it was annotated, or
-           it was reported — in every case the envelope travels. *)
-        S.empty
-      end
-      else t
-  | Texp_record { fields; extended_expression; _ } -> (
-      let base =
-        match extended_expression with
-        | Some b -> eval ctx env b
-        | None -> S.empty
-      in
-      let t =
-        Array.fold_left
-          (fun acc (_, def) ->
-            match def with
-            | Overridden (_, x) -> S.union acc (eval ctx env x)
-            | _ -> acc)
-          base fields
-      in
-      match record_sink (type_last2 ~unit_name:ctx.unit_name e.exp_type) with
-      | Some (rule, sink) ->
-          ignore (sink_check ctx ~loc:e.exp_loc ~rule ~sink t);
-          S.empty
-      | None -> t)
-  | Texp_field (r, _, _) -> eval ctx env r
-  | Texp_setfield (r, _, _, v) ->
-      let vt = eval ctx env v in
-      (match r.exp_desc with
-      | Texp_ident (Path.Pident id, _, _) -> env_union env id vt
-      | _ -> ignore (eval ctx env r));
-      S.empty
-  | Texp_ifthenelse (c, a, b) ->
-      ignore (eval ctx env c);
-      let ta = eval ctx env a in
-      let tb = match b with Some b -> eval ctx env b | None -> S.empty in
-      S.union ta tb
-  | Texp_sequence (a, b) ->
-      ignore (eval ctx env a);
-      eval ctx env b
-  | Texp_open (_, body) -> eval ctx env body
-  | _ ->
-      List.fold_left
-        (fun acc x -> S.union acc (eval ctx env x))
-        S.empty (sub_exprs e)
-
-and lookup_value ctx env path =
-  match path with
-  | Path.Pident id when Hashtbl.mem env (Ident.unique_name id) ->
-      env_get env id
-  | _ -> (
-      match key_of ~unit_name:ctx.unit_name path with
-      | Some (m, v) -> (
-          match summary_find ctx (m ^ "." ^ v) with
-          | Some s -> s.ret
-          | None -> S.empty)
-      | None -> S.empty)
-
-and lookup_fn ctx env path =
-  match path with
-  | Path.Pident id when Hashtbl.mem env (Ident.unique_name id) ->
-      (env_get env id, None)
-  | _ -> (
-      match key_of ~unit_name:ctx.unit_name path with
-      | Some (m, v) -> (
-          match summary_find ctx (m ^ "." ^ v) with
-          | Some s -> (s.ret, Some s)
-          | None -> (param_taint, None))
-      | None -> (param_taint, None))
-
-and eval_apply ctx env (e : expression) =
-  let h, args = spine ~unit_name:ctx.unit_name e in
-  match h.exp_desc with
-  | Texp_ident (p, _, _) when is_random_path p ->
-      List.iter (fun (_, a) -> Option.iter (fun a -> ignore (eval ctx env a)) a) args;
-      random_violation ctx ~loc:e.exp_loc;
-      S.empty
-  | _ -> (
-      let fkey = head_key ~unit_name:ctx.unit_name h in
-      let arg_exprs = List.filter_map snd args in
-      let is_closure a =
-        match a.exp_desc with Texp_function _ -> true | _ -> false
-      in
-      let closures, plain = List.partition is_closure arg_exprs in
-      let plain_taint =
-        List.fold_left (fun acc a -> S.union acc (eval ctx env a)) S.empty plain
-      in
-      (* Assignment through a ref keeps the cell's taint current. *)
-      (match (fkey, arg_exprs) with
-      | ( Some (_, ":="),
-          [ { exp_desc = Texp_ident (Path.Pident id, _, _); _ }; v ] ) ->
-          env_union env id (eval ctx env v)
-      | _ -> ());
-      let tbl_iter =
-        match fkey with Some k -> hashtbl_iteration k | None -> false
-      in
-      let hof =
-        match fkey with Some k -> is_hof k && closures <> [] | None -> false
-      in
-      let closure_taint =
-        List.fold_left
-          (fun acc c ->
-            let ptaint =
-              if tbl_iter then S.add "hashorder" plain_taint
-              else if hof then plain_taint
-              else param_taint
-            in
-            match c.exp_desc with
-            | Texp_function { cases; _ } ->
-                S.union acc (eval_cases ctx env ~ptaint cases)
-            | _ -> S.union acc (eval ctx env c))
-          S.empty closures
-      in
-      let all_args = S.union plain_taint closure_taint in
-      match fkey with
-      | Some k when sort_fn k -> S.remove "hashorder" all_args
-      | Some k when sanitizer k -> S.empty
-      | Some k when Option.is_some (source_fn k) ->
-          S.singleton (Option.get (source_fn k))
-      | Some k when Option.is_some (sink_fn k) ->
-          let rule, sink = Option.get (sink_fn k) in
-          ignore (sink_check ctx ~loc:e.exp_loc ~rule ~sink all_args);
-          S.empty
-      | Some _ when tbl_iter -> S.add "hashorder" all_args
-      | Some (m, v) when hof ->
-          if hof_transform v && (m = "Array" || m = "List") then closure_taint
-          else S.union plain_taint closure_taint
-      | _ ->
-          let base, smry =
-            match h.exp_desc with
-            | Texp_ident (p, _, _) -> lookup_fn ctx env p
-            | _ -> (S.add param_class (eval ctx env h), None)
-          in
-          (match smry with
-          | Some s when s.psinks <> [] ->
-              let via =
-                match fkey with Some (m, v) -> m ^ "." ^ v | None -> "?"
-              in
-              List.iter
-                (fun (rule, sink) ->
-                  ignore
-                    (sink_check ctx ~via ~loc:e.exp_loc ~rule ~sink all_args))
-                s.psinks
-          | _ -> ());
-          subst base all_args)
-
-and eval_cases : 'k. ctx -> env -> ptaint:S.t -> 'k case list -> S.t =
- fun ctx env ~ptaint cases ->
-  List.fold_left
-    (fun acc c ->
-      bind_pattern env c.c_lhs ptaint;
-      (match c.c_guard with Some g -> ignore (eval ctx env g) | None -> ());
-      S.union acc (eval ctx env c.c_rhs))
-    S.empty cases
-
-and process_bindings ctx env rf vbs =
-  if rf = Recursive then
-    List.iter
-      (fun vb ->
-        List.iter
-          (fun id ->
-            let key = ctx.unit_name ^ "." ^ Ident.name id in
-            let t =
-              match summary_find ctx key with
-              | Some s -> s.ret
-              | None -> S.empty
-            in
-            env_set env id t)
-          (pat_bound_idents vb.vb_pat))
-      vbs;
-  List.iter
-    (fun vb ->
-      let t = eval ctx env vb.vb_expr in
-      bind_pattern env vb.vb_pat t)
-    vbs
-
-(* ------------------------------------------------------------------ *)
-(* Structures and units                                                *)
-(* ------------------------------------------------------------------ *)
-
-let rec process_structure ctx env (str : structure) =
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (rf, vbs) ->
-          if rf = Recursive then
-            List.iter
-              (fun vb ->
-                List.iter
-                  (fun id ->
-                    let key = ctx.unit_name ^ "." ^ Ident.name id in
-                    let t =
-                      match summary_find ctx key with
-                      | Some s -> s.ret
-                      | None -> S.empty
-                    in
-                    env_set env id t)
-                  (pat_bound_idents vb.vb_pat))
-              vbs;
-          List.iter
-            (fun vb ->
-              ctx.psinks <- [];
-              let t = eval ctx env vb.vb_expr in
-              bind_pattern env vb.vb_pat t;
-              List.iter
-                (fun id ->
-                  let key = ctx.unit_name ^ "." ^ Ident.name id in
-                  summary_set ctx key
-                    { ret = env_get env id; psinks = ctx.psinks })
-                (pat_bound_idents vb.vb_pat))
-            vbs
-      | Tstr_eval (e, _) ->
-          ctx.psinks <- [];
-          ignore (eval ctx env e)
-      | Tstr_module mb -> process_module ctx env mb.mb_expr
-      | Tstr_recmodule mbs ->
-          List.iter (fun mb -> process_module ctx env mb.mb_expr) mbs
-      | _ -> ())
-    str.str_items
-
-and process_module ctx env me =
-  match me.mod_desc with
-  | Tmod_structure s -> process_structure ctx env s
-  | Tmod_constraint (me, _, _, _) -> process_module ctx env me
-  | Tmod_functor (_, me) -> process_module ctx env me
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Loading                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type loaded = {
-  l_unit : string;
-  l_rule_path : string;
-  l_structure : structure;
-  l_allows : Allow.t list;
-}
-
-let unit_of_modname m =
-  match Fs.find_substring m "__" with
-  | None -> m
-  | Some _ ->
-      let rec last_start i acc =
-        match Fs.find_substring ~start:i m "__" with
-        | Some j -> last_start (j + 2) (j + 2)
-        | None -> acc
-      in
-      let s = last_start 0 0 in
-      String.sub m s (String.length m - s)
-
-let load errors input =
-  match Cmt_format.read_cmt input.cmt_path with
-  | exception exn ->
-      errors :=
-        { file = input.cmt_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "cannot read cmt: " ^ Printexc.to_string exn }
-        :: !errors;
-      None
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str -> (
-          let src = cmt.Cmt_format.cmt_sourcefile in
-          let rule_path =
-            match input.rule_path with
-            | Some p -> Some (Fs.normalize p)
-            | None -> (
-                match src with
-                | Some f when Filename.check_suffix f ".ml" ->
-                    Some (Fs.normalize f)
-                | _ -> None (* dune namespace/alias modules *))
-          in
-          match rule_path with
-          | None -> None
-          | Some rule_path ->
-              let source =
-                match input.source with
-                | Some s -> Some s
-                | None -> (
-                    try Some (Fs.read_file rule_path)
-                    with Sys_error _ -> None)
-              in
-              let allows =
-                match source with
-                | Some s -> Allow.scan ~marker:"det: " s
-                | None -> []
-              in
-              Some
-                { l_unit = unit_of_modname cmt.Cmt_format.cmt_modname;
-                  l_rule_path = rule_path;
-                  l_structure = str;
-                  l_allows = allows })
-      | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let analyze inputs =
-  let errors = ref [] in
-  let loaded = List.filter_map (load errors) inputs in
-  let summaries = Hashtbl.create 256 in
-  let out = ref [] in
-  let changed = ref true in
-  let run ~emit lu =
-    let ctx =
-      { unit_name = lu.l_unit;
-        rule_path = lu.l_rule_path;
-        allows = lu.l_allows;
-        summaries;
-        emit;
-        out;
-        changed;
-        psinks = [] }
-    in
-    let env = Hashtbl.create 128 in
-    try process_structure ctx env lu.l_structure
-    with exn ->
-      errors :=
-        { file = lu.l_rule_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "analysis failed: " ^ Printexc.to_string exn }
-        :: !errors
-  in
-  let rounds = ref 0 in
-  while !changed && !rounds < 12 do
-    changed := false;
-    incr rounds;
-    List.iter (run ~emit:false) loaded
-  done;
-  List.iter (run ~emit:true) loaded;
-  (* Annotation hygiene: unknown keywords are violations, and an
-     annotation that suppressed nothing is itself stale. *)
-  List.iter
-    (fun lu ->
-      List.iter
-        (fun (a : Allow.t) ->
-          if not (List.mem a.keyword sanctioned_keywords) then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "D-annot";
-                message =
-                  Printf.sprintf
-                    "unknown det keyword '%s': the annotation must name the \
-                     sanctioned regime — one of %s"
-                    a.keyword
-                    (String.concat ", " sanctioned_keywords) }
-              :: !out
-          else if not a.used then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "stale-det";
-                message =
-                  Printf.sprintf
-                    "(* det: %s *) suppresses nothing here: the crossing it \
-                     excused is gone — delete the annotation"
-                    a.keyword }
-              :: !out)
-        lu.l_allows)
-    loaded;
-  let sorted = List.sort Report.by_position (!out @ !errors) in
-  let rec dedup = function
-    | a :: b :: rest
-      when a.file = b.file && a.line = b.line && a.col = b.col
-           && a.rule = b.rule ->
-        dedup (b :: rest)
-    | a :: rest -> a :: dedup rest
-    | [] -> []
-  in
-  dedup sorted
-
-let human = Report.human
-let to_json = Report.to_json
+let analyze = Flow.analyze policy
+let human = Analysis_kit.Report.human
+let to_json = Analysis_kit.Report.to_json

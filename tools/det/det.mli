@@ -86,15 +86,12 @@ type violation = Analysis_kit.Report.violation = {
   message : string;
 }
 
-type input = {
-  cmt_path : string;  (** compiled [.cmt] to analyze *)
+type input = Analysis_kit.Cmt.input = {
+  cmt_path : string;
   rule_path : string option;
-      (** path used in reports and annotation scoping; defaults to the
-          cmt's recorded source file *)
   source : string option;
-      (** source text for [det:] annotation scanning; defaults to
-          reading [rule_path] *)
 }
+(** See {!Analysis_kit.Cmt.input}. *)
 
 val analyze : input list -> violation list
 (** Analyze the units together — summaries flow across all of them to a

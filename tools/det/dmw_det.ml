@@ -7,9 +7,5 @@
 
 let () =
   Analysis_kit.Cli.main ~tool:"dmw_det" ~ext:".cmt" ~default_roots:[ "lib" ]
-    ~analyze:(fun files ->
-      Det.analyze
-        (List.map
-           (fun cmt_path -> { Det.cmt_path; rule_path = None; source = None })
-           files))
+    ~analyze:(fun files -> Det.analyze (Analysis_kit.Cmt.inputs files))
     ()

@@ -60,15 +60,33 @@ let active_for path =
 (* Escape hatch: (* lint: allow <kw>: reason *)                        *)
 (* ------------------------------------------------------------------ *)
 
-let rule_of_keyword = function
-  | "bigint-arith" | "R1" | "r1" -> Some "R1"
-  | "poly-eq" | "R2" | "r2" -> Some "R2"
-  | "random" | "R3" | "r3" -> Some "R3"
-  | "mutex" | "R4" | "r4" -> Some "R4"
-  | "wildcard" | "R5" | "r5" -> Some "R5"
-  | "partial" | "R6" | "r6" -> Some "R6"
-  | "printf" | "R7" | "r7" -> Some "R7"
-  | _ -> None
+let keyword_rules =
+  [ ("bigint-arith", "R1"); ("poly-eq", "R2"); ("random", "R3");
+    ("mutex", "R4"); ("wildcard", "R5"); ("partial", "R6"); ("printf", "R7") ]
+
+(* A rule answers to its keyword and to its literal id, "R1" or "r1". *)
+let rule_of_keyword kw =
+  List.find_map
+    (fun (k, rule) ->
+      if kw = k || String.uppercase_ascii kw = rule then Some rule else None)
+    keyword_rules
+
+(* An unknown keyword suppresses nothing, so it is reported as stale. *)
+let stale_allow =
+  ( "stale-allow",
+    Printf.sprintf
+      "(* lint: allow %s *) suppresses nothing here: the code it excused is \
+       gone (or the keyword is unknown) — delete the comment or fix the \
+       keyword" )
+
+let annotations =
+  { Allow.marker = "lint: allow ";
+    keywords =
+      List.concat_map
+        (fun (k, rule) -> [ k; rule; String.lowercase_ascii rule ])
+        keyword_rules;
+    unknown = stale_allow;
+    stale = stale_allow }
 
 (* ------------------------------------------------------------------ *)
 (* Longident helpers                                                   *)
@@ -308,21 +326,6 @@ let check_structure ~file ~rules ~allows structure =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let stale_violations ~file allows =
-  List.map
-    (fun (a : Allow.t) ->
-      { file;
-        line = a.line;
-        col = 0;
-        rule = "stale-allow";
-        message =
-          Printf.sprintf
-            "(* lint: allow %s *) suppresses nothing here: the code it \
-             excused is gone (or the keyword is unknown) — delete the \
-             comment or fix the keyword"
-            a.keyword })
-    (Allow.stale allows)
-
 let lint_file ?rule_path file =
   let rule_path = Fs.normalize (Option.value rule_path ~default:file) in
   let rules = active_for rule_path in
@@ -330,13 +333,14 @@ let lint_file ?rule_path file =
   | exception Sys_error msg ->
       [ { file; line = 1; col = 0; rule = "parse"; message = msg } ]
   | source -> (
-      let allows = Allow.scan ~marker:"lint: allow " source in
+      let allows = Allow.scan ~marker:annotations.marker source in
       let lexbuf = Lexing.from_string source in
       Lexing.set_filename lexbuf file;
       match Parse.implementation lexbuf with
       | structure ->
           let vs = check_structure ~file ~rules ~allows structure in
-          List.sort Report.by_position (vs @ stale_violations ~file allows)
+          let stale = Allow.hygiene annotations ~file allows in
+          List.sort Report.by_position (vs @ stale)
       | exception exn ->
           let line, col, msg =
             match Location.error_of_exn exn with

@@ -7,9 +7,5 @@
 let () =
   Analysis_kit.Cli.main ~tool:"dmw_race" ~ext:".cmt"
     ~default_roots:[ "lib" ]
-    ~analyze:(fun files ->
-      Race.analyze
-        (List.map
-           (fun cmt_path -> { Race.cmt_path; rule_path = None; source = None })
-           files))
+    ~analyze:(fun files -> Race.analyze (Analysis_kit.Cmt.inputs files))
     ()

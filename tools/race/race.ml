@@ -36,7 +36,7 @@
 open Typedtree
 module Report = Analysis_kit.Report
 module Allow = Analysis_kit.Allow
-module Fs = Analysis_kit.Fs
+module Cmt = Analysis_kit.Cmt
 
 type violation = Report.violation = {
   file : string;
@@ -46,7 +46,7 @@ type violation = Report.violation = {
   message : string;
 }
 
-type input = {
+type input = Cmt.input = {
   cmt_path : string;
   rule_path : string option;
   source : string option;
@@ -80,54 +80,15 @@ let lock_name = function
 let concrete ls = LS.filter (function LParam _ -> false | _ -> true) ls
 
 (* ------------------------------------------------------------------ *)
-(* Paths and types (same conventions as taint.ml)                      *)
+(* Types and locations                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let comps_of_name s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && s.[!i] = '_' && s.[!i + 1] = '_' then begin
-      Buffer.add_char buf '.';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  String.split_on_char '.' (Buffer.contents buf)
-
-let qualify ~unit_name = function
-  | [ x ] -> [ unit_name; x ]
-  | comps -> comps
-
-let last2 comps =
-  match List.rev comps with
-  | v :: m :: _ -> Some (m, v)
-  | _ -> None
-
-let key_of ~unit_name path =
-  last2 (qualify ~unit_name (comps_of_name (Path.name path)))
-
-(* Record-field types and `let x : τ` annotations are wrapped in Tpoly
-   in the typedtree; peel it before inspecting the constructor. *)
-let rec unpoly ty =
-  match Types.get_desc ty with Types.Tpoly (t, _) -> unpoly t | _ -> ty
-
-let type_last2 ~unit_name ty =
-  match Types.get_desc (unpoly ty) with
-  | Types.Tconstr (p, _, _) ->
-      last2 (qualify ~unit_name (comps_of_name (Path.name p)))
-  | _ -> None
 
 (* The shared containers whose values constitute mutable state. A
    type-based test is robust to how the value is built. *)
 let container_of ty =
-  match Types.get_desc (unpoly ty) with
+  match Types.get_desc (Cmt.unpoly ty) with
   | Types.Tconstr (p, _, _) -> (
-      match comps_of_name (Path.name p) with
+      match Cmt.comps_of_name (Path.name p) with
       | comps -> (
           match List.rev comps with
           | "ref" :: _ -> Some "ref"
@@ -313,7 +274,7 @@ let cell_of_path ctx path =
       | Some p -> Hashtbl.find_opt ctx.tb.cells p
       | None -> None)
   | _ -> (
-      match key_of ~unit_name:ctx.unit_name path with
+      match Cmt.key_of ~unit_name:ctx.unit_name path with
       | Some (m, v) -> cell_by_key ctx.tb (m ^ "." ^ v)
       | None -> None)
 
@@ -321,7 +282,7 @@ let ident_access ctx st loc path =
   Option.iter (record_access ctx st loc) (cell_of_path ctx path)
 
 let field_access ctx st loc (lbl : Types.label_description) =
-  match type_last2 ~unit_name:ctx.unit_name lbl.lbl_res with
+  match Cmt.type_last2 ~unit_name:ctx.unit_name lbl.lbl_res with
   | Some (m, t) ->
       Option.iter
         (record_access ctx st loc)
@@ -343,11 +304,11 @@ let norm_lock ctx (e : expression) =
           | Some (m, v) -> LGlobal (m, v)
           | None -> LLocal u))
   | Texp_ident (path, _, _) -> (
-      match key_of ~unit_name:ctx.unit_name path with
+      match Cmt.key_of ~unit_name:ctx.unit_name path with
       | Some (m, v) -> LGlobal (m, v)
       | None -> LLocal (loc_str ctx.rule_path e.exp_loc))
   | Texp_field (_, _, lbl) -> (
-      match type_last2 ~unit_name:ctx.unit_name lbl.lbl_res with
+      match Cmt.type_last2 ~unit_name:ctx.unit_name lbl.lbl_res with
       | Some (m, t) -> LField (m, t, lbl.lbl_name)
       | None -> LLocal (loc_str ctx.rule_path e.exp_loc))
   | _ -> LLocal (loc_str ctx.rule_path e.exp_loc)
@@ -374,15 +335,6 @@ let note_acquire ctx st loc l =
 (* Expression walk                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let sub_exprs e =
-  let acc = ref [] in
-  let it =
-    { Tast_iterator.default_iterator with
-      expr = (fun _ e' -> acc := e' :: !acc) }
-  in
-  Tast_iterator.default_iterator.expr it e;
-  List.rev !acc
-
 let all_exprs e =
   let acc = ref [] in
   let it =
@@ -395,40 +347,12 @@ let all_exprs e =
   it.expr it e;
   List.rev !acc
 
-(* Flatten an application spine, re-associating [@@] and [|>] so the
-   inline [Fun.protect ~finally:... @@ fun () -> ...] idiom reads as a
-   direct application. *)
-let rec spine ctx (e : expression) =
-  match e.exp_desc with
-  | Texp_apply (f, args) -> (
-      let h, a0 = spine ctx f in
-      let args = a0 @ args in
-      match head_key ctx h with
-      | Some ("Stdlib", "@@") -> (
-          match args with
-          | [ (_, Some f'); x ] ->
-              let h', a' = spine ctx f' in
-              (h', a' @ [ x ])
-          | _ -> (h, args))
-      | Some ("Stdlib", "|>") -> (
-          match args with
-          | [ x; (_, Some f') ] ->
-              let h', a' = spine ctx f' in
-              (h', a' @ [ x ])
-          | _ -> (h, args))
-      | _ -> (h, args))
-  | _ -> (e, [])
-
-and head_key ctx (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (p, _, _) -> key_of ~unit_name:ctx.unit_name p
-  | _ -> None
-
 let is_apply_of ctx key (e : expression) =
   match e.exp_desc with
   | Texp_apply _ ->
-      let h, args = spine ctx e in
-      if head_key ctx h = Some key then Some args else None
+      let h, args = Cmt.spine ~unit_name:ctx.unit_name e in
+      if Cmt.head_key ~unit_name:ctx.unit_name h = Some key then Some args
+      else None
   | _ -> None
 
 (* [Mutex.lock l] as the head of a sequence. *)
@@ -510,7 +434,7 @@ let rec eval ctx st (e : expression) =
           eval ctx st a;
           eval ctx st b)
   | Texp_apply _ -> eval_apply ctx st e
-  | _ -> List.iter (eval ctx st) (sub_exprs e)
+  | _ -> List.iter (eval ctx st) (Cmt.sub_exprs e)
 
 (* A value that some callee will invoke under [locks]: a literal
    closure runs its body there; one of our own parameters records an
@@ -529,7 +453,7 @@ and invoke_like ctx st locks th =
             st'.ls
       | None -> ())
   | Texp_ident (path, _, _) when cell_of_path ctx path = None -> (
-      match key_of ~unit_name:ctx.unit_name path with
+      match Cmt.key_of ~unit_name:ctx.unit_name path with
       | Some (m, v) when Hashtbl.mem ctx.tb.summaries (m ^ "." ^ v) ->
           if st.in_fn then
             meet_guard ctx.tb
@@ -539,8 +463,8 @@ and invoke_like ctx st locks th =
   | _ -> eval ctx st' th
 
 and eval_apply ctx st (e : expression) =
-  let h, args = spine ctx e in
-  let key = head_key ctx h in
+  let h, args = Cmt.spine ~unit_name:ctx.unit_name e in
+  let key = Cmt.head_key ~unit_name:ctx.unit_name h in
   match key with
   | Some ("Mutex", "lock") ->
       (* not in sequence-head position, so never wrapper-shaped *)
@@ -623,7 +547,7 @@ and eval_apply ctx st (e : expression) =
                     -> (
                       (* a known function passed to a HOF is a call
                          site for its guarantee *)
-                      match key_of ~unit_name:ctx.unit_name path with
+                      match Cmt.key_of ~unit_name:ctx.unit_name path with
                       | Some (m, v)
                         when Hashtbl.mem ctx.tb.summaries (m ^ "." ^ v) ->
                           if st.in_fn then
@@ -768,25 +692,16 @@ let rec process_structure ctx chain (str : structure) =
           ctx.fn_key <- None;
           Hashtbl.reset ctx.params;
           eval ctx { ls = LS.empty; in_fn = false } e
-      | Tstr_module mb ->
-          let sub =
-            match mb.mb_id with
-            | Some id -> chain @ [ Ident.name id ]
-            | None -> chain
-          in
-          process_module ctx sub mb.mb_expr
-      | Tstr_recmodule mbs ->
-          List.iter
-            (fun mb ->
-              let sub =
-                match mb.mb_id with
-                | Some id -> chain @ [ Ident.name id ]
-                | None -> chain
-              in
-              process_module ctx sub mb.mb_expr)
-            mbs
+      | Tstr_module mb -> process_module_binding ctx chain mb
+      | Tstr_recmodule mbs -> List.iter (process_module_binding ctx chain) mbs
       | _ -> ())
     str.str_items
+
+and process_module_binding ctx chain mb =
+  let sub =
+    match mb.mb_id with Some id -> chain @ [ Ident.name id ] | None -> chain
+  in
+  process_module ctx sub mb.mb_expr
 
 and process_module ctx chain me =
   match me.mod_desc with
@@ -794,75 +709,6 @@ and process_module ctx chain me =
   | Tmod_constraint (me, _, _, _) -> process_module ctx chain me
   | Tmod_functor (_, me) -> process_module ctx chain me
   | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Loading                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type loaded = {
-  l_unit : string;
-  l_rule_path : string;
-  l_structure : structure;
-  l_allows : Allow.t list;
-}
-
-let unit_of_modname m =
-  match Fs.find_substring m "__" with
-  | None -> m
-  | Some _ ->
-      let rec last_start i acc =
-        match Fs.find_substring ~start:i m "__" with
-        | Some j -> last_start (j + 2) (j + 2)
-        | None -> acc
-      in
-      let s = last_start 0 0 in
-      String.sub m s (String.length m - s)
-
-let load errors input =
-  match Cmt_format.read_cmt input.cmt_path with
-  | exception exn ->
-      errors :=
-        { file = input.cmt_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "cannot read cmt: " ^ Printexc.to_string exn }
-        :: !errors;
-      None
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str -> (
-          let src = cmt.Cmt_format.cmt_sourcefile in
-          let rule_path =
-            match input.rule_path with
-            | Some p -> Some (Fs.normalize p)
-            | None -> (
-                match src with
-                | Some f when Filename.check_suffix f ".ml" ->
-                    Some (Fs.normalize f)
-                | _ -> None (* dune namespace/alias modules *))
-          in
-          match rule_path with
-          | None -> None
-          | Some rule_path ->
-              let source =
-                match input.source with
-                | Some s -> Some s
-                | None -> (
-                    try Some (Fs.read_file rule_path)
-                    with Sys_error _ -> None)
-              in
-              let allows =
-                match source with
-                | Some s -> Allow.scan ~marker:"race: confined " s
-                | None -> []
-              in
-              Some
-                { l_unit = unit_of_modname cmt.Cmt_format.cmt_modname;
-                  l_rule_path = rule_path;
-                  l_structure = str;
-                  l_allows = allows })
-      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -1018,9 +864,24 @@ let order_cycles tb out =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let annotations : Allow.spec =
+  { marker = "race: confined ";
+    keywords = confined_keywords;
+    unknown =
+      ( "R-annot",
+        fun kw ->
+          Printf.sprintf
+            "unknown confinement keyword '%s': the annotation must name the \
+             confinement regime — one of %s"
+            kw
+            (String.concat ", " confined_keywords) );
+    stale =
+      ( "stale-confine",
+        Printf.sprintf
+          "(* race: confined %s *) excuses nothing here: the cell it covered \
+           is gone, guarded, or atomic — delete the annotation" ) }
+
 let analyze inputs =
-  let errors = ref [] in
-  let loaded = List.filter_map (load errors) inputs in
   let tb =
     { summaries = Hashtbl.create 256;
       cells = Hashtbl.create 128;
@@ -1035,105 +896,26 @@ let analyze inputs =
   let wl = summary_for tb "Mutex_util.with_lock" in
   wl.acquires <- LS.singleton (LParam 0);
   wl.invokes <- [ (1, LS.singleton (LParam 0)) ];
-  let out = ref [] in
-  let run ~emit lu =
-    let ctx =
-      { unit_name = lu.l_unit;
-        rule_path = lu.l_rule_path;
-        allows = lu.l_allows;
-        tb;
-        emit;
-        out;
-        toplevel = Hashtbl.create 64;
-        cell_ident = Hashtbl.create 32;
-        params = Hashtbl.create 16;
-        sanctioned = Hashtbl.create 16;
-        fn_key = None }
-    in
-    try process_structure ctx [] lu.l_structure
-    with exn ->
-      errors :=
-        { file = lu.l_rule_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "analysis failed: " ^ Printexc.to_string exn }
-        :: !errors
-  in
-  let rounds = ref 0 in
-  while !(tb.changed) && !rounds < 12 do
-    tb.changed := false;
-    incr rounds;
-    List.iter (run ~emit:false) loaded
-  done;
-  List.iter (run ~emit:true) loaded;
-  if Sys.getenv_opt "DMW_RACE_DEBUG" <> None then
-    List.iter
-      (fun key ->
-        let c = Hashtbl.find tb.cells key in
-        Printf.eprintf "cell %s (%s) atomic=%b @ %s:%d\n" c.cl_name
-          c.cl_container c.cl_atomic c.cl_file c.cl_line;
-        List.iter
-          (fun a ->
-            Printf.eprintf "  access %s:%d ls={%s} fn=%s final={%s}\n"
-              a.a_file a.a_line
-              (String.concat "," (List.map lock_name (LS.elements a.a_ls)))
-              (Option.value ~default:"-" a.a_fn)
-              (String.concat ","
-                 (List.map lock_name
-                    (LS.elements
-                       (LS.union a.a_ls
-                          (match a.a_fn with
-                          | Some k -> guard_of tb k
-                          | None -> LS.empty))))))
-          c.cl_accesses)
-      (List.rev !(tb.cell_order));
-  classify tb out;
-  order_cycles tb out;
-  (* Annotation hygiene: unknown keywords are violations, and an
-     annotation that excused nothing is itself stale. *)
-  List.iter
-    (fun lu ->
-      List.iter
-        (fun (a : Allow.t) ->
-          if not (List.mem a.keyword confined_keywords) then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "R-annot";
-                message =
-                  Printf.sprintf
-                    "unknown confinement keyword '%s': the annotation must \
-                     name the confinement regime — one of %s"
-                    a.keyword
-                    (String.concat ", " confined_keywords) }
-              :: !out
-          else if not a.used then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "stale-confine";
-                message =
-                  Printf.sprintf
-                    "(* race: confined %s *) excuses nothing here: the cell \
-                     it covered is gone, guarded, or atomic — delete the \
-                     annotation"
-                    a.keyword }
-              :: !out)
-        lu.l_allows)
-    loaded;
-  let sorted = List.sort Report.by_position (!out @ !errors) in
-  let rec dedup = function
-    | a :: b :: rest
-      when a.file = b.file && a.line = b.line && a.col = b.col
-           && a.rule = b.rule ->
-        dedup (b :: rest)
-    | a :: rest -> a :: dedup rest
-    | [] -> []
-  in
-  dedup sorted
+  Cmt.analyze annotations ~changed:tb.changed
+    ~visit:(fun ~emit ~out (u : Cmt.unit_) ->
+      let ctx =
+        { unit_name = u.unit_name;
+          rule_path = u.rule_path;
+          allows = u.allows;
+          tb;
+          emit;
+          out;
+          toplevel = Hashtbl.create 64;
+          cell_ident = Hashtbl.create 32;
+          params = Hashtbl.create 16;
+          sanctioned = Hashtbl.create 16;
+          fn_key = None }
+      in
+      process_structure ctx [] u.structure)
+    ~finish:(fun out ->
+      classify tb out;
+      order_cycles tb out)
+    inputs
 
 let human = Report.human
 let to_json = Report.to_json

@@ -54,16 +54,12 @@ type violation = Analysis_kit.Report.violation = {
   message : string;
 }
 
-type input = {
+type input = Analysis_kit.Cmt.input = {
   cmt_path : string;
   rule_path : string option;
-      (** project-relative path used for reporting; defaults to the
-          [.cmt]'s recorded source file. Tests use it to analyze
-          fixtures as if they lived under [lib/...]. *)
   source : string option;
-      (** source text for annotation scanning; defaults to reading
-          [rule_path] (no annotations if unreadable). *)
 }
+(** See {!Analysis_kit.Cmt.input}. *)
 
 val confined_keywords : string list
 (** The sanctioned confinement regimes: ["owner"] (touched only by

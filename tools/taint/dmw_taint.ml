@@ -7,10 +7,5 @@
 let () =
   Analysis_kit.Cli.main ~tool:"dmw_taint" ~ext:".cmt"
     ~default_roots:[ "lib"; "bin"; "bench"; "examples" ]
-    ~analyze:(fun files ->
-      Taint.analyze
-        (List.map
-           (fun cmt_path ->
-             { Taint.cmt_path; rule_path = None; source = None })
-           files))
+    ~analyze:(fun files -> Taint.analyze (Analysis_kit.Cmt.inputs files))
     ()

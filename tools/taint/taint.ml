@@ -1,31 +1,11 @@
-(* Typedtree secret-flow analysis over .cmt files. See taint.mli for
-   the lattice (sources / sinks / declassifiers) and its mapping to
-   the paper's privacy argument; DESIGN.md "Static privacy boundary"
-   for the rationale.
+(* The secret-flow policy for the shared flow engine (flow.ml). See
+   taint.mli for the lattice (sources / sinks / declassifiers) and its
+   mapping to the paper's privacy argument; DESIGN.md "Static privacy
+   boundary" for the rationale. *)
 
-   The propagation is a forward may-taint analysis: [eval] returns
-   the set of secret classes an expression's value may carry and
-   emits a violation whenever a concretely-tainted value reaches a
-   sink. Each top-level binding additionally gets a summary — its
-   return taint computed with parameters bound to the distinguished
-   ["@param"] class (so a declassifier applied inside the callee
-   visibly kills the dependence on the arguments), plus the sinks its
-   parameters flow into (so a leaky helper flags its call sites).
-   Summaries are iterated to a fixpoint across all loaded units.
-
-   Deliberate approximations: conditions do not taint branches (no
-   implicit flows — the protocol's control flow is public), local
-   recursion is evaluated in one pass, and closures stored in records
-   lose their parameter-sink summaries. All are documented
-   under-approximations; the flows the privacy boundary cares about
-   are direct data flows into messages, sockets, traces and logs. *)
-
-open Typedtree
-module Report = Analysis_kit.Report
-module Allow = Analysis_kit.Allow
 module Fs = Analysis_kit.Fs
 
-type violation = Report.violation = {
+type violation = Analysis_kit.Report.violation = {
   file : string;
   line : int;
   col : int;
@@ -33,17 +13,11 @@ type violation = Report.violation = {
   message : string;
 }
 
-type input = {
+type input = Analysis_kit.Cmt.input = {
   cmt_path : string;
   rule_path : string option;
   source : string option;
 }
-
-module S = Set.Make (String)
-
-let param_class = "@param"
-let param_taint = S.singleton param_class
-let concrete t = S.remove param_class t
 
 let sanctioned_keywords = [ "pedersen"; "share"; "exponent"; "disclosure" ]
 
@@ -73,47 +47,6 @@ let scope_for p =
       || p = "lib/core/agent.ml";
     share_fields = p <> "lib/core/codec.ml";
     bid_fields = Fs.has_prefix "lib/core/" p }
-
-(* ------------------------------------------------------------------ *)
-(* Paths and types                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* "Dmw_crypto__Share.t" and "Dmw_crypto.Share.t" both become
-   ["Dmw_crypto"; "Share"; "t"]; a bare local name is qualified with
-   the current unit so that agent.ml's own [t] reads as [Agent.t]. *)
-let comps_of_name s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    if !i + 1 < n && s.[!i] = '_' && s.[!i + 1] = '_' then begin
-      Buffer.add_char buf '.';
-      i := !i + 2
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  String.split_on_char '.' (Buffer.contents buf)
-
-let qualify ~unit_name = function
-  | [ x ] -> [ unit_name; x ]
-  | comps -> comps
-
-let last2 comps =
-  match List.rev comps with
-  | v :: m :: _ -> Some (m, v)
-  | _ -> None
-
-let key_of ~unit_name path =
-  last2 (qualify ~unit_name (comps_of_name (Path.name path)))
-
-let type_last2 ~unit_name ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) ->
-      last2 (qualify ~unit_name (comps_of_name (Path.name p)))
-  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Policy tables                                                       *)
@@ -184,585 +117,55 @@ let sink_fn (m, v) =
       Some ("T-log", v)
   | _ -> None
 
-(* Container HOFs where the element taint must reach the closure's
-   parameters and, for transforms, the result must be the closure's
-   output only — so that projecting a clean field out of a secret
-   record (dealer.public) actually cleans. *)
-let hof_transform v =
-  List.mem v
-    [ "map"; "mapi"; "map2"; "rev_map"; "filter_map"; "concat_map"; "init" ]
+let apply scope k : Flow.verdict option =
+  if sanitizer k || declassifier k then Some Clean
+  else if source_fn scope k then Some (Source "prng")
+  else Option.map (fun (rule, sink) -> Flow.Sink (rule, sink)) (sink_fn k)
 
-let hof_other v =
-  List.mem v
-    [ "iter"; "iteri"; "iter2"; "fold_left"; "fold_right"; "filter";
-      "partition"; "find_opt"; "find_map"; "sort"; "stable_sort" ]
-
-let is_hof (m, v) =
-  (m = "Array" || m = "List") && (hof_transform v || hof_other v)
-
-type fpol = Clean | Source of string | Neutral
-
-let field_policy ~unit_name scope (lbl : Types.label_description) =
-  let tname = type_last2 ~unit_name lbl.lbl_res in
+let field_policy scope ~unit_name (lbl : Types.label_description) : Flow.field =
+  let tname = Analysis_kit.Cmt.type_last2 ~unit_name lbl.lbl_res in
   let type_named n = match tname with Some (_, t) -> t = n | None -> false in
   match lbl.lbl_name with
   | ("e_at" | "f_at" | "g_at" | "h_at") when scope.share_fields && type_named "t"
     ->
-      Source "share"
-  | ("e" | "f" | "g" | "h" | "tau") when type_named "dealer" -> Source "dealer"
-  | ("public" | "sigma") when type_named "dealer" -> Clean
-  | "bids" when scope.bid_fields && type_named "t" -> Source "bid"
-  | _ -> Neutral
+      Adds "share"
+  | ("e" | "f" | "g" | "h" | "tau") when type_named "dealer" -> Adds "dealer"
+  | ("public" | "sigma") when type_named "dealer" -> Cleans
+  | "bids" when scope.bid_fields && type_named "t" -> Adds "bid"
+  | _ -> Keeps
 
-(* ------------------------------------------------------------------ *)
-(* Summaries                                                           *)
-(* ------------------------------------------------------------------ *)
+let policy : scope Flow.policy =
+  { annotations =
+      { marker = "taint: declassify ";
+        keywords = sanctioned_keywords;
+        unknown =
+          ( "T-annot",
+            Printf.sprintf
+              "unknown declassify keyword '%s': the annotation must name the \
+               sanctioned declassifier family — one of pedersen, share, \
+               exponent, disclosure" );
+        stale =
+          ( "stale-declassify",
+            Printf.sprintf
+              "(* taint: declassify %s *) suppresses nothing here: the \
+               crossing it excused is gone — delete the annotation" ) };
+    hint =
+      "route it through a sanctioned declassifier (Pedersen.commit, \
+       Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or \
+       annotate the crossing: (* taint: declassify \
+       <pedersen|share|exponent|disclosure>: reason *)";
+    describe;
+    scope_for;
+    apply;
+    field = field_policy;
+    msg_rule = "T-msg";
+    record_sink =
+      (function
+      | "Transcript", "t" -> Some ("T-trace", "a Transcript.t record")
+      | _ -> None);
+    admitted = (fun _ -> []);
+    use_site = (fun _ -> None) }
 
-type summary = { ret : S.t; psinks : (string * string) list }
-
-type ctx = {
-  unit_name : string;
-  rule_path : string;
-  scope : scope;
-  allows : Allow.t list;
-  summaries : (string, summary) Hashtbl.t;
-  emit : bool;
-  out : Report.violation list ref;
-  changed : bool ref;
-  mutable psinks : (string * string) list;
-}
-
-let summary_find ctx key = Hashtbl.find_opt ctx.summaries key
-
-let summary_set ctx key s =
-  match Hashtbl.find_opt ctx.summaries key with
-  | None ->
-      Hashtbl.replace ctx.summaries key s;
-      if not (S.is_empty s.ret) || s.psinks <> [] then ctx.changed := true
-  | Some old ->
-      let ret = S.union old.ret s.ret in
-      let psinks =
-        old.psinks
-        @ List.filter (fun p -> not (List.mem p old.psinks)) s.psinks
-      in
-      if not (S.equal ret old.ret) || List.length psinks <> List.length old.psinks
-      then begin
-        Hashtbl.replace ctx.summaries key { ret; psinks };
-        ctx.changed := true
-      end
-
-(* ------------------------------------------------------------------ *)
-(* Environment                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type env = (string, S.t) Hashtbl.t
-
-let env_set (env : env) id t = Hashtbl.replace env (Ident.unique_name id) t
-
-let env_union (env : env) id t =
-  let k = Ident.unique_name id in
-  let old = Option.value (Hashtbl.find_opt env k) ~default:S.empty in
-  Hashtbl.replace env k (S.union old t)
-
-let env_get (env : env) id =
-  Option.value (Hashtbl.find_opt env (Ident.unique_name id)) ~default:S.empty
-
-(* ------------------------------------------------------------------ *)
-(* Violations                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let push ctx ~line ~col ~rule ~message =
-  ctx.out :=
-    { file = ctx.rule_path; line; col; rule; message } :: !(ctx.out)
-
-let declassify_hint =
-  "route it through a sanctioned declassifier (Pedersen.commit, \
-   Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or \
-   annotate the crossing: (* taint: declassify \
-   <pedersen|share|exponent|disclosure>: reason *)"
-
-(* A concretely-tainted value at a sink is a violation (suppressible
-   by an annotation); a parameter-tainted one is recorded as a
-   parameter sink of the enclosing top-level binding so the leak is
-   reported at the call sites that supply secrets. *)
-let sink_check ctx ?via ~loc ~rule ~sink taint =
-  let conc = concrete taint in
-  if not (S.is_empty conc) then begin
-    if ctx.emit then begin
-      let p = loc.Location.loc_start in
-      let line = p.Lexing.pos_lnum in
-      let col = p.Lexing.pos_cnum - p.Lexing.pos_bol in
-      let claimed =
-        Allow.claim ctx.allows ~line ~keyword_ok:(fun kw ->
-            List.mem kw sanctioned_keywords)
-      in
-      if not claimed then
-        let via_s =
-          match via with None -> "" | Some f -> Printf.sprintf " via %s" f
-        in
-        push ctx ~line ~col ~rule
-          ~message:
-            (Printf.sprintf "%s reaches %s%s — %s"
-               (String.concat ", " (List.map describe (S.elements conc)))
-               sink via_s declassify_hint)
-    end;
-    true
-  end
-  else begin
-    if S.mem param_class taint && not (List.mem (rule, sink) ctx.psinks) then
-      ctx.psinks <- (rule, sink) :: ctx.psinks;
-    false
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The evaluator                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let subst base args =
-  if S.mem param_class base then S.union (S.remove param_class base) args
-  else base
-
-let iter_record_fields f p =
-  let it =
-    { Tast_iterator.default_iterator with
-      pat =
-        (fun (type k) it (q : k general_pattern) ->
-          (match q.pat_desc with
-          | Tpat_record (fields, _) ->
-              List.iter (fun (_, lbl, sub) -> f lbl sub) fields
-          | _ -> ());
-          Tast_iterator.default_iterator.pat it q) }
-  in
-  it.pat it p
-
-(* Bind every variable of [p] to the scrutinee taint [t], then refine
-   record sub-patterns through the field policy (a destructured
-   share/dealer field is a source; dealer.public is clean). *)
-let bind_pattern : type k. ctx -> env -> k general_pattern -> S.t -> unit =
- fun ctx env p t ->
-  List.iter (fun id -> env_set env id t) (pat_bound_idents p);
-  iter_record_fields
-    (fun lbl sub ->
-      match field_policy ~unit_name:ctx.unit_name ctx.scope lbl with
-      | Source cls ->
-          List.iter
-            (fun id -> env_set env id (S.add cls t))
-            (pat_bound_idents sub)
-      | Clean ->
-          List.iter (fun id -> env_set env id S.empty) (pat_bound_idents sub)
-      | Neutral -> ())
-    p
-
-let sub_exprs e =
-  let acc = ref [] in
-  let it =
-    { Tast_iterator.default_iterator with
-      expr = (fun _ e' -> acc := e' :: !acc) }
-  in
-  Tast_iterator.default_iterator.expr it e;
-  List.rev !acc
-
-let rec eval ctx env (e : expression) : S.t =
-  match e.exp_desc with
-  | Texp_constant _ -> S.empty
-  | Texp_ident (path, _, _) -> lookup_value ctx env path
-  | Texp_let (rf, vbs, body) ->
-      process_bindings ctx env rf vbs;
-      eval ctx env body
-  | Texp_function { cases; _ } -> eval_cases ctx env ~ptaint:param_taint cases
-  | Texp_apply (fn, args) -> eval_apply ctx env e fn args
-  | Texp_match (scrut, cases, _) ->
-      let st = eval ctx env scrut in
-      eval_cases ctx env ~ptaint:st cases
-  | Texp_try (body, cases) ->
-      S.union (eval ctx env body) (eval_cases ctx env ~ptaint:S.empty cases)
-  | Texp_tuple es | Texp_array es ->
-      List.fold_left (fun acc x -> S.union acc (eval ctx env x)) S.empty es
-  | Texp_construct (_, cstr, args) ->
-      let t =
-        List.fold_left (fun acc x -> S.union acc (eval ctx env x)) S.empty args
-      in
-      if
-        type_last2 ~unit_name:ctx.unit_name cstr.Types.cstr_res
-        = Some ("Messages", "t")
-      then begin
-        ignore
-          (sink_check ctx ~loc:e.exp_loc ~rule:"T-msg"
-             ~sink:("the Messages." ^ cstr.Types.cstr_name ^ " constructor")
-             t);
-        (* Constructing the message is the declassification boundary:
-           either it was clean, it was annotated, or it was reported —
-           in every case the envelope itself travels. *)
-        S.empty
-      end
-      else t
-  | Texp_record { fields; extended_expression; _ } ->
-      let base =
-        match extended_expression with
-        | Some b -> eval ctx env b
-        | None -> S.empty
-      in
-      let t =
-        Array.fold_left
-          (fun acc (_, def) ->
-            match def with
-            | Overridden (_, x) -> S.union acc (eval ctx env x)
-            | _ -> acc)
-          base fields
-      in
-      if type_last2 ~unit_name:ctx.unit_name e.exp_type = Some ("Transcript", "t")
-      then begin
-        ignore
-          (sink_check ctx ~loc:e.exp_loc ~rule:"T-trace"
-             ~sink:"a Transcript.t record" t);
-        S.empty
-      end
-      else t
-  | Texp_field (r, _, lbl) -> (
-      let rt = eval ctx env r in
-      match field_policy ~unit_name:ctx.unit_name ctx.scope lbl with
-      | Clean -> S.empty
-      | Source cls -> S.add cls rt
-      | Neutral -> rt)
-  | Texp_setfield (r, _, _, v) ->
-      let vt = eval ctx env v in
-      (match r.exp_desc with
-      | Texp_ident (Path.Pident id, _, _) -> env_union env id vt
-      | _ -> ignore (eval ctx env r));
-      S.empty
-  | Texp_ifthenelse (c, a, b) ->
-      ignore (eval ctx env c);
-      let ta = eval ctx env a in
-      let tb = match b with Some b -> eval ctx env b | None -> S.empty in
-      S.union ta tb
-  | Texp_sequence (a, b) ->
-      ignore (eval ctx env a);
-      eval ctx env b
-  | Texp_open (_, body) -> eval ctx env body
-  | _ ->
-      List.fold_left
-        (fun acc x -> S.union acc (eval ctx env x))
-        S.empty (sub_exprs e)
-
-and lookup_value ctx env path =
-  match path with
-  | Path.Pident id when Hashtbl.mem env (Ident.unique_name id) ->
-      env_get env id
-  | _ -> (
-      match key_of ~unit_name:ctx.unit_name path with
-      | Some (m, v) -> (
-          match summary_find ctx (m ^ "." ^ v) with
-          | Some s -> s.ret
-          | None -> S.empty)
-      | None -> S.empty)
-
-and lookup_fn ctx env path =
-  match path with
-  | Path.Pident id when Hashtbl.mem env (Ident.unique_name id) ->
-      (env_get env id, None)
-  | _ -> (
-      match key_of ~unit_name:ctx.unit_name path with
-      | Some (m, v) -> (
-          match summary_find ctx (m ^ "." ^ v) with
-          | Some s -> (s.ret, Some s)
-          | None -> (param_taint, None))
-      | None -> (param_taint, None))
-
-and eval_apply ctx env e fn args =
-  let fkey =
-    match fn.exp_desc with
-    | Texp_ident (p, _, _) -> key_of ~unit_name:ctx.unit_name p
-    | _ -> None
-  in
-  let arg_exprs = List.filter_map snd args in
-  let is_closure a =
-    match a.exp_desc with Texp_function _ -> true | _ -> false
-  in
-  let closures, plain = List.partition is_closure arg_exprs in
-  let plain_taint =
-    List.fold_left (fun acc a -> S.union acc (eval ctx env a)) S.empty plain
-  in
-  (* Assignment through a ref keeps the cell's taint current. *)
-  (match (fkey, arg_exprs) with
-  | Some (_, ":="), [ { exp_desc = Texp_ident (Path.Pident id, _, _); _ }; v ]
-    ->
-      env_union env id (eval ctx env v)
-  | _ -> ());
-  let hof = match fkey with Some k -> is_hof k && closures <> [] | None -> false in
-  let closure_taint =
-    List.fold_left
-      (fun acc c ->
-        let ptaint = if hof then plain_taint else param_taint in
-        match c.exp_desc with
-        | Texp_function { cases; _ } ->
-            S.union acc (eval_cases ctx env ~ptaint cases)
-        | _ -> S.union acc (eval ctx env c))
-      S.empty closures
-  in
-  let all_args = S.union plain_taint closure_taint in
-  match fkey with
-  | Some k when sanitizer k -> S.empty
-  | Some k when declassifier k -> S.empty
-  | Some k when source_fn ctx.scope k -> S.singleton "prng"
-  | Some k when Option.is_some (sink_fn k) ->
-      let rule, sink = Option.get (sink_fn k) in
-      ignore (sink_check ctx ~loc:e.exp_loc ~rule ~sink all_args);
-      S.empty
-  | Some ((m, v) as k) when hof ->
-      ignore k;
-      if hof_transform v && (m = "Array" || m = "List") then closure_taint
-      else S.union plain_taint closure_taint
-  | _ ->
-      let base, smry =
-        match fn.exp_desc with
-        | Texp_ident (p, _, _) -> lookup_fn ctx env p
-        | _ -> (S.add param_class (eval ctx env fn), None)
-      in
-      (match smry with
-      | Some s when s.psinks <> [] ->
-          let via =
-            match fkey with Some (m, v) -> m ^ "." ^ v | None -> "?"
-          in
-          List.iter
-            (fun (rule, sink) ->
-              ignore (sink_check ctx ~via ~loc:e.exp_loc ~rule ~sink all_args))
-            s.psinks
-      | _ -> ());
-      subst base all_args
-
-and eval_cases : 'k. ctx -> env -> ptaint:S.t -> 'k case list -> S.t =
- fun ctx env ~ptaint cases ->
-  List.fold_left
-    (fun acc c ->
-      bind_pattern ctx env c.c_lhs ptaint;
-      (match c.c_guard with Some g -> ignore (eval ctx env g) | None -> ());
-      S.union acc (eval ctx env c.c_rhs))
-    S.empty cases
-
-and process_bindings ctx env rf vbs =
-  if rf = Recursive then
-    List.iter
-      (fun vb ->
-        List.iter
-          (fun id ->
-            let key = ctx.unit_name ^ "." ^ Ident.name id in
-            let t =
-              match summary_find ctx key with
-              | Some s -> s.ret
-              | None -> S.empty
-            in
-            env_set env id t)
-          (pat_bound_idents vb.vb_pat))
-      vbs;
-  List.iter
-    (fun vb ->
-      let t = eval ctx env vb.vb_expr in
-      bind_pattern ctx env vb.vb_pat t)
-    vbs
-
-(* ------------------------------------------------------------------ *)
-(* Structures and units                                                *)
-(* ------------------------------------------------------------------ *)
-
-let rec process_structure ctx env (str : structure) =
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (rf, vbs) ->
-          if rf = Recursive then
-            List.iter
-              (fun vb ->
-                List.iter
-                  (fun id ->
-                    let key = ctx.unit_name ^ "." ^ Ident.name id in
-                    let t =
-                      match summary_find ctx key with
-                      | Some s -> s.ret
-                      | None -> S.empty
-                    in
-                    env_set env id t)
-                  (pat_bound_idents vb.vb_pat))
-              vbs;
-          List.iter
-            (fun vb ->
-              ctx.psinks <- [];
-              let t = eval ctx env vb.vb_expr in
-              bind_pattern ctx env vb.vb_pat t;
-              List.iter
-                (fun id ->
-                  let key = ctx.unit_name ^ "." ^ Ident.name id in
-                  summary_set ctx key
-                    { ret = env_get env id; psinks = ctx.psinks })
-                (pat_bound_idents vb.vb_pat))
-            vbs
-      | Tstr_eval (e, _) ->
-          ctx.psinks <- [];
-          ignore (eval ctx env e)
-      | Tstr_module mb -> process_module ctx env mb.mb_expr
-      | Tstr_recmodule mbs ->
-          List.iter (fun mb -> process_module ctx env mb.mb_expr) mbs
-      | _ -> ())
-    str.str_items
-
-and process_module ctx env me =
-  match me.mod_desc with
-  | Tmod_structure s -> process_structure ctx env s
-  | Tmod_constraint (me, _, _, _) -> process_module ctx env me
-  | Tmod_functor (_, me) -> process_module ctx env me
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Loading                                                             *)
-(* ------------------------------------------------------------------ *)
-
-type loaded = {
-  l_unit : string;
-  l_rule_path : string;
-  l_structure : structure;
-  l_allows : Allow.t list;
-}
-
-let unit_of_modname m =
-  match Fs.find_substring m "__" with
-  | None -> m
-  | Some _ ->
-      let rec last_start i acc =
-        match Fs.find_substring ~start:i m "__" with
-        | Some j -> last_start (j + 2) (j + 2)
-        | None -> acc
-      in
-      let s = last_start 0 0 in
-      String.sub m s (String.length m - s)
-
-let load errors input =
-  match Cmt_format.read_cmt input.cmt_path with
-  | exception exn ->
-      errors :=
-        { file = input.cmt_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "cannot read cmt: " ^ Printexc.to_string exn }
-        :: !errors;
-      None
-  | cmt -> (
-      match cmt.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str -> (
-          let src = cmt.Cmt_format.cmt_sourcefile in
-          let rule_path =
-            match input.rule_path with
-            | Some p -> Some (Fs.normalize p)
-            | None -> (
-                match src with
-                | Some f when Filename.check_suffix f ".ml" ->
-                    Some (Fs.normalize f)
-                | _ -> None (* dune namespace/alias modules *))
-          in
-          match rule_path with
-          | None -> None
-          | Some rule_path ->
-              let source =
-                match input.source with
-                | Some s -> Some s
-                | None -> (
-                    try Some (Fs.read_file rule_path)
-                    with Sys_error _ -> None)
-              in
-              let allows =
-                match source with
-                | Some s -> Allow.scan ~marker:"taint: declassify " s
-                | None -> []
-              in
-              Some
-                { l_unit = unit_of_modname cmt.Cmt_format.cmt_modname;
-                  l_rule_path = rule_path;
-                  l_structure = str;
-                  l_allows = allows })
-      | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let analyze inputs =
-  let errors = ref [] in
-  let loaded = List.filter_map (load errors) inputs in
-  let summaries = Hashtbl.create 256 in
-  let out = ref [] in
-  let changed = ref true in
-  let run ~emit lu =
-    let ctx =
-      { unit_name = lu.l_unit;
-        rule_path = lu.l_rule_path;
-        scope = scope_for lu.l_rule_path;
-        allows = lu.l_allows;
-        summaries;
-        emit;
-        out;
-        changed;
-        psinks = [] }
-    in
-    let env = Hashtbl.create 128 in
-    try process_structure ctx env lu.l_structure
-    with exn ->
-      errors :=
-        { file = lu.l_rule_path;
-          line = 1;
-          col = 0;
-          rule = "cmt";
-          message = "analysis failed: " ^ Printexc.to_string exn }
-        :: !errors
-  in
-  let rounds = ref 0 in
-  while !changed && !rounds < 12 do
-    changed := false;
-    incr rounds;
-    List.iter (run ~emit:false) loaded
-  done;
-  List.iter (run ~emit:true) loaded;
-  (* Annotation hygiene: unknown keywords are violations, and an
-     annotation that suppressed nothing is itself stale. *)
-  List.iter
-    (fun lu ->
-      List.iter
-        (fun (a : Allow.t) ->
-          if not (List.mem a.keyword sanctioned_keywords) then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "T-annot";
-                message =
-                  Printf.sprintf
-                    "unknown declassify keyword '%s': the annotation must \
-                     name the sanctioned declassifier family — one of \
-                     pedersen, share, exponent, disclosure"
-                    a.keyword }
-              :: !out
-          else if not a.used then
-            out :=
-              { file = lu.l_rule_path;
-                line = a.line;
-                col = 0;
-                rule = "stale-declassify";
-                message =
-                  Printf.sprintf
-                    "(* taint: declassify %s *) suppresses nothing here: the \
-                     crossing it excused is gone — delete the annotation"
-                    a.keyword }
-              :: !out)
-        lu.l_allows)
-    loaded;
-  let sorted = List.sort Report.by_position (!out @ !errors) in
-  let rec dedup = function
-    | a :: b :: rest
-      when a.file = b.file && a.line = b.line && a.col = b.col
-           && a.rule = b.rule ->
-        dedup (b :: rest)
-    | a :: rest -> a :: dedup rest
-    | [] -> []
-  in
-  dedup sorted
-
-let human = Report.human
-let to_json = Report.to_json
+let analyze = Flow.analyze policy
+let human = Analysis_kit.Report.human
+let to_json = Analysis_kit.Report.to_json

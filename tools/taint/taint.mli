@@ -47,12 +47,8 @@
     [stale-declassify] (the same rot-proofing as the linter's
     [stale-allow]).
 
-    Propagation is intraprocedural with an interprocedural summary:
-    every top-level binding gets a return-taint summary (with a
-    distinguished parameter taint, so an argument laundered through a
-    declassifier inside the callee does not taint the result) plus
-    the set of sinks its parameters reach, iterated to a fixpoint
-    over all loaded compilation units. *)
+    Propagation, with its interprocedural summaries, is the shared
+    flow engine's ({!Flow}); this pass is its policy. *)
 
 type violation = Analysis_kit.Report.violation = {
   file : string;  (** the project-relative source path *)
@@ -65,16 +61,12 @@ type violation = Analysis_kit.Report.violation = {
   message : string;
 }
 
-type input = {
+type input = Analysis_kit.Cmt.input = {
   cmt_path : string;
   rule_path : string option;
-      (** project-relative path used for scoping and reporting;
-          defaults to the [.cmt]'s recorded source file. Tests use it
-          to analyze fixtures as if they lived under [lib/...]. *)
   source : string option;
-      (** source text for annotation scanning; defaults to reading
-          [rule_path] (no annotations if unreadable). *)
 }
+(** See {!Analysis_kit.Cmt.input}. *)
 
 val analyze : input list -> violation list
 (** Analyze a set of compilation units together (summaries are
