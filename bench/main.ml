@@ -141,8 +141,10 @@ let table1_computation () =
         (c.Direct.seconds /. !base))
     [ 64; 128; 256; 512 ];
   Printf.printf
-    "(mod-exp/mod-mul counts are size-independent; the growing wall time is\n";
-  Printf.printf " exactly the O(log p) arithmetic factor of Theorem 12)\n"
+    "(mod-exp counts are size-independent; mod-muls per exponentiation grow\n";
+  Printf.printf
+    " with the exponent's bit length, the O(log p) factor of Theorem 12, and\n";
+  Printf.printf " each mod-mul costs more on larger operands)\n"
 
 (* ------------------------------------------------------------------ *)
 (* F2-seq: Fig. 2, the message sequence                                *)
@@ -160,7 +162,7 @@ let fig2_message_sequence () =
   Format.printf "%a@."
     (Trace.pp_sequence ~max_events:200)
     r.Dmw_exec.trace;
-  Format.printf "per-phase totals:@.%a@." Trace.pp_summary r.Dmw_exec.trace;
+  Format.printf "per-phase totals:@.%a@." Trace.pp_summary r.Dmw_exec.metrics;
   Printf.printf
     "\nexpected phase order (paper Fig. 2): shares/commitments -> lambda_psi\n\
      -> f_disclosure -> lambda_psi_excl -> payment_report\n"
@@ -537,9 +539,9 @@ let baseline_comparison () =
          there are no ties by checking payments totals coincide for
          tie-free columns is out of scope here — the equivalence is
          covered by the test suites of both. *)
+      let center = Dmw_obs.Metrics.total ~scope:cb.Dmw_center.metrics in
       Printf.printf "%4d | %12d %12d | %12d %12d\n%!" n
-        (Trace.messages cb.Dmw_center.trace)
-        (Trace.bytes cb.Dmw_center.trace)
+        (center "dmw_messages_total") (center "dmw_bytes_total")
         drow.Report.msgs drow.Report.bytes)
     [ 4; 8; 12; 16 ];
   Printf.printf

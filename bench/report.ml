@@ -1,7 +1,7 @@
 (* Machine-readable bench accounting. Every experiment that used to
    count messages and bytes by hand out of its own trace now wraps the
-   run in [measure], which turns observability on, reads the Dmw_obs
-   counters afterwards, and accumulates one row per run. [flush]
+   run in [measure], which runs it in its own Dmw_obs scope, reads the
+   scope's counters afterwards, and accumulates one row per run. [flush]
    writes the rows as one JSON array — BENCH_10.json — in the standard
    schema: experiment, backend, n, m, msgs, bytes, modexps, wall_ns,
    duration_ns. Experiments whose results are scores rather than
@@ -28,22 +28,9 @@ type row = {
 
 let rows : row list ref = ref []
 
-(* Sum of a counter over every label set it was recorded under. *)
-let counter_total name =
-  List.fold_left
-    (fun acc s ->
-      match s with
-      | Metrics.Counter { name = n'; value; _ } when String.equal n' name ->
-          acc + value
-      | _ -> acc)
-    0 (Metrics.samples ())
-
 let measure ?duration_of ~experiment ~backend ~n ~m f =
-  Metrics.reset ();
-  Dmw_obs.Span.reset ();
-  Metrics.enable ();
   let t0 = Unix.gettimeofday () in
-  let result = Fun.protect ~finally:Metrics.disable f in
+  let result, scope = Metrics.scoped f in
   let wall_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   let duration_ns =
     match duration_of with
@@ -52,9 +39,9 @@ let measure ?duration_of ~experiment ~backend ~n ~m f =
   in
   let row =
     { experiment; backend; n; m;
-      msgs = counter_total "dmw_messages_total";
-      bytes = counter_total "dmw_bytes_total";
-      modexps = counter_total "dmw_modexp_total";
+      msgs = Metrics.total ~scope "dmw_messages_total";
+      bytes = Metrics.total ~scope "dmw_bytes_total";
+      modexps = Metrics.total ~scope "dmw_modexp_total";
       wall_ns; duration_ns }
   in
   rows := row :: !rows;

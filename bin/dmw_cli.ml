@@ -310,8 +310,8 @@ let sweep_cmd =
       let r = Dmw_exec.run ~seed params ~bids ~keep_events:false in
       let cost = Direct.agent_cost params ~bids ~agent:0 in
       Printf.printf "%4d %10d %12d %12d %12d\n%!" !n
-        (Dmw_sim.Trace.messages r.Dmw_exec.trace)
-        (Dmw_sim.Trace.bytes r.Dmw_exec.trace)
+        (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_messages_total")
+        (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_bytes_total")
         cost.Direct.multiplications cost.Direct.exponentiations;
       n := !n + 4
     done;
@@ -370,7 +370,7 @@ let trace_cmd =
     in
     let r = Dmw_exec.run ~seed params ~bids in
     Format.printf "%a@." (Dmw_sim.Trace.pp_sequence ~max_events:limit) r.Dmw_exec.trace;
-    Format.printf "%a@." Dmw_sim.Trace.pp_summary r.Dmw_exec.trace;
+    Format.printf "%a@." Dmw_sim.Trace.pp_summary r.Dmw_exec.metrics;
     0
   in
   let term = Term.(const trace $ n_arg $ c_arg $ seed_arg $ bits_arg $ limit) in
@@ -430,8 +430,8 @@ let compare_cmd =
         Dmw_exec.run ~seed ~batching ~hardened params ~bids ~keep_events:false
       in
       row name
-        (Dmw_sim.Trace.messages r.Dmw_exec.trace)
-        (Dmw_sim.Trace.bytes r.Dmw_exec.trace)
+        (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_messages_total")
+        (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_bytes_total")
         (Dmw_exec.completed r) notes
     in
     dmw "DMW" "fully distributed, private bids";
@@ -439,8 +439,8 @@ let compare_cmd =
     dmw "DMW --hardened" ~hardened:true "per-entry disclosure binding";
     let cb = Dmw_center.run ~n ~m ~c bids in
     row "center-assisted" 
-      (Dmw_sim.Trace.messages cb.Dmw_center.trace)
-      (Dmw_sim.Trace.bytes cb.Dmw_center.trace)
+      (Dmw_obs.Metrics.total ~scope:cb.Dmw_center.metrics "dmw_messages_total")
+      (Dmw_obs.Metrics.total ~scope:cb.Dmw_center.metrics "dmw_bytes_total")
       (Option.is_some cb.Dmw_center.schedule)
       "Θ(mn), but bids public + trusted center";
     if mechanisms then mechanism_table ~n ~m ~seed bids;

@@ -37,7 +37,7 @@ let () =
     (fun i u -> Format.printf "utility of agent %d: %+.1f@." (i + 1) u)
     utilities;
 
-  (* The message trace doubles as a cost profile (Table 1 of the
+  (* The run's counters double as a cost profile (Table 1 of the
      paper): DMW exchanges Theta(m n^2) point-to-point messages. *)
   Format.printf "@.per-phase message counts:@.%a@."
-    Dmw_sim.Trace.pp_summary result.Dmw_exec.trace
+    Dmw_sim.Trace.pp_summary result.Dmw_exec.metrics

@@ -71,8 +71,8 @@ let () =
   | _ -> assert false);
   print_outcome "chunked DMW" ~work ~payments;
   Format.printf "  messages: %d, bytes: %d@."
-    (Dmw_sim.Trace.messages r.Dmw_exec.trace)
-    (Dmw_sim.Trace.bytes r.Dmw_exec.trace);
+    (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_messages_total")
+    (Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics "dmw_bytes_total");
 
   Format.printf
     "@.All chunks go to the cheapest machine, matching winner-take-all's@.";

@@ -22,7 +22,7 @@ type result = {
   schedule : Schedule.t option;
   payments : float array option;
   agreeing_reports : int;
-  trace : Dmw_sim.Trace.t;
+  metrics : Dmw_obs.Metrics.scope;
 }
 
 let message_count ~n ~m =
@@ -48,6 +48,11 @@ let run ?(center = Honest) ?(agents = fun _ -> Follows) ?(seed = 11) ~n ~m ~c
   let reports : (int array * float array) option array = Array.make n None in
   let final : (int array * float array) option ref = ref None in
   let agreeing = ref 0 in
+  (* Every transmission is counted, in the run's scope. *)
+  let send eng ~src ~dst ~tag ~bytes msg =
+    Dmw_sim.Trace.count ~backend:"center" ~tag ~bytes;
+    Engine.send eng ~src ~dst ~tag ~bytes msg
+  in
   (* The center's view. *)
   let tampered_matrix matrix =
     match center with
@@ -94,7 +99,7 @@ let run ?(center = Honest) ?(agents = fun _ -> Follows) ?(seed = 11) ~n ~m ~c
                let assignment = Array.of_list a
                and payments = Array.of_list p in
                for dst = 0 to n - 1 do
-                 Engine.send eng ~src:center_id ~dst ~tag:"finalize"
+                 send eng ~src:center_id ~dst ~tag:"finalize"
                    ~bytes:(vector_bytes (m + n))
                    (Finalize { assignment; payments })
                done
@@ -110,7 +115,7 @@ let run ?(center = Honest) ?(agents = fun _ -> Follows) ?(seed = 11) ~n ~m ~c
               (* lint: allow partial: guarded by the for_all just above *)
               let matrix = tampered_matrix (Array.map Option.get received_bids) in
               for dst = 0 to n - 1 do
-                Engine.send eng ~src:center_id ~dst ~tag:"echo"
+                send eng ~src:center_id ~dst ~tag:"echo"
                   ~bytes:(matrix_bytes ~n ~m)
                   (Echo (partition_matrix_for dst matrix))
               done
@@ -149,7 +154,7 @@ let run ?(center = Honest) ?(agents = fun _ -> Follows) ?(seed = 11) ~n ~m ~c
                   end
                   else (assignment, payments)
                 in
-                Engine.send eng ~src:i ~dst:center_id ~tag:"outcome_report"
+                send eng ~src:i ~dst:center_id ~tag:"outcome_report"
                   ~bytes:(vector_bytes (m + n))
                   (Outcome_report { assignment; payments })
           end
@@ -157,14 +162,14 @@ let run ?(center = Honest) ?(agents = fun _ -> Follows) ?(seed = 11) ~n ~m ~c
   done;
   Engine.at eng ~time:0.0 (fun () ->
       for i = 0 to n - 1 do
-        Engine.send eng ~src:i ~dst:center_id ~tag:"bid_vector"
+        send eng ~src:i ~dst:center_id ~tag:"bid_vector"
           ~bytes:(vector_bytes m) (Bid_vector bids.(i))
       done);
-  Engine.run eng;
+  let (), metrics = Dmw_obs.Metrics.scoped (fun () -> Engine.run eng) in
   let schedule, payments =
     match !final with
     | Some (assignment, payments) ->
         (Some (Schedule.create ~agents:n ~assignment), Some payments)
     | None -> (None, None)
   in
-  { schedule; payments; agreeing_reports = !agreeing; trace = Engine.trace eng }
+  { schedule; payments; agreeing_reports = !agreeing; metrics }

@@ -47,7 +47,9 @@ type result = {
       (** The accepted outcome, [None] when the cross-check failed. *)
   payments : float array option;
   agreeing_reports : int;
-  trace : Dmw_sim.Trace.t;
+  metrics : Dmw_obs.Metrics.scope;
+      (** The run's closed scope: messages and bytes per tag
+          ({!Dmw_sim.Trace.count}, backend ["center"]). *)
 }
 
 val run :
@@ -64,4 +66,5 @@ val run :
 val message_count : n:int -> m:int -> int
 (** Closed form for the honest run: [n] bid vectors + [n] echoes +
     [n] reports + [n] finalizations = [4n] vector messages; in scalar
-    terms Θ(mn). The tests check the trace against this exactly. *)
+    terms Θ(mn). The tests check the run's message count against this
+    exactly. *)

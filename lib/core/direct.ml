@@ -105,19 +105,17 @@ let agent_cost ?(seed = 42) (params : Params.t) ~bids ~agent =
   let n = params.n and m = params.m in
   let group = params.group in
   let q = group.Dmw_modular.Group.q in
-  Zmod.Counters.reset ();
-  let t0 = Sys.time () in
-  let elapsed = ref 0.0 in
-  (* Run [f] with counters enabled; everything else runs untimed. *)
+  let muls = ref 0 and exps = ref 0 and elapsed = ref 0.0 in
+  (* Run [f] timed and in its own scope; everything else runs untimed
+     and uncounted. *)
   let counted f =
     let s = Sys.time () in
-    Zmod.Counters.enable ();
-    let r = f () in
-    Zmod.Counters.disable ();
+    let r, scope = Dmw_obs.Metrics.scoped f in
     elapsed := !elapsed +. (Sys.time () -. s);
+    muls := !muls + Dmw_obs.Metrics.total ~scope "dmw_modmul_total";
+    exps := !exps + Dmw_obs.Metrics.total ~scope "dmw_modexp_total";
     r
   in
-  ignore t0;
   for j = 0 to m - 1 do
     (* Everyone else's secret work, uncounted. *)
     let others =
@@ -256,9 +254,7 @@ let agent_cost ?(seed = 42) (params : Params.t) ~bids ~agent =
           (Resolution.require ~stage:"agent_cost: second price"
              (Resolution.second_price params ~lambdas_excl)))
   done;
-  { multiplications = Zmod.Counters.multiplications ();
-    exponentiations = Zmod.Counters.exponentiations ();
-    seconds = !elapsed }
+  { multiplications = !muls; exponentiations = !exps; seconds = !elapsed }
 
 let minwork_cost ~bids =
   let t0 = Sys.time () in

@@ -7,7 +7,7 @@
     - a fast reference outcome to cross-check {!Protocol} against;
     - the computational-cost experiment of Table 1: {!agent_cost}
       executes {e exactly one designated agent's} computational
-      actions with the {!Dmw_modular.Zmod.Counters} enabled, yielding
+      actions, each in its own {!Dmw_obs.Metrics} scope, yielding
       per-agent modular-multiplication and exponentiation counts that
       can be compared across [n], [m] and group sizes. *)
 
@@ -30,7 +30,7 @@ type cost = {
 
 val agent_cost : ?seed:int -> Params.t -> bids:int array array -> agent:int -> cost
 (** Cost of one agent's Phase II–IV computations across all [m]
-    auctions. Other agents' work is performed with counters off. *)
+    auctions. Other agents' work is performed outside those scopes. *)
 
 val minwork_cost : bids:float array array -> cost
 (** Wall-clock (and zero modular ops) of the centralized MinWork on

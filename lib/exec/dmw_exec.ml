@@ -34,6 +34,7 @@ type result = {
   payments : float option array;
   statuses : agent_status array;
   trace : Trace.t;
+  metrics : Dmw_obs.Metrics.scope;
   duration : float;
   attempts : int;
   excluded : int array;
@@ -46,11 +47,10 @@ type info = { trace : Trace.t; duration : float }
 (* ------------------------------------------------------------------ *)
 
 (* Counters and the span tree (run > task auction > phase) for one
-   protocol attempt. Counting happens where the backends already
-   account their traces — the send/receive boundary — so the obs
-   numbers agree with Trace on every backend. The aggregation state is
-   module-global like the Dmw_obs registry itself: one instrumented
-   run at a time, reset by [run_attempt]. *)
+   protocol attempt, taken at the send/receive boundary every backend
+   shares. The span aggregation state is module-global like the root
+   registry it feeds: one instrumented run at a time, reset by
+   [run_attempt]. *)
 module Obs = struct
   module Metrics = Dmw_obs.Metrics
   module Span = Dmw_obs.Span
@@ -81,93 +81,66 @@ module Obs = struct
             if now > c.t1 then c.t1 <- now
         | None -> Hashtbl.add cells key { t0 = now; t1 = now })
 
-  (* Wrap a transport so every send is counted and timestamped. The
-     identity short-circuit keeps uninstrumented runs at zero cost
-     beyond the construction-time branch. *)
+  (* Wrap a transport so every send is counted, and timestamped for
+     the span tree while the root records spans. *)
   let transport ~backend ~now ~src (base : Agent.transport) =
-    if not (Metrics.enabled ()) then base
-    else
-      { Agent.send =
-          (fun ~dst ~tag ~bytes msg ->
-            let labels = [ ("backend", backend); ("tag", tag) ] in
-            Metrics.bump ~labels "dmw_messages_total" 1;
-            Metrics.bump ~labels "dmw_bytes_total" bytes;
-            Metrics.bump
-              ~labels:[ ("backend", backend); ("agent", string_of_int src) ]
-              "dmw_agent_messages_total" 1;
-            Metrics.observe
-              ~labels:[ ("backend", backend) ]
-              "dmw_message_size_bytes" (float_of_int bytes);
+    { Agent.send =
+        (fun ~dst ~tag ~bytes msg ->
+          Trace.count ~backend ~tag ~bytes;
+          Metrics.bump
+            ~labels:[ ("backend", backend); ("agent", string_of_int src) ]
+            "dmw_agent_messages_total" 1;
+          Metrics.observe
+            ~labels:[ ("backend", backend) ]
+            "dmw_message_size_bytes" (float_of_int bytes);
+          if Metrics.exporting () then
             note ~task:(Messages.task msg) ~tag ~now:(now ());
-            base.Agent.send ~dst ~tag ~bytes msg);
-        schedule = base.Agent.schedule }
+          base.Agent.send ~dst ~tag ~bytes msg);
+      schedule = base.Agent.schedule }
 
   let recv ~backend =
     Metrics.bump ~labels:[ ("backend", backend) ] "dmw_recv_total" 1
 
   (* Materialize the aggregated span tree for the finished attempt. *)
   let emit ~backend =
-    if Metrics.enabled () then begin
-      (* Sorted so span emission order (and hence span ids in the
-         export) is a function of the cells' keys, not of Hashtbl
-         bucket order. *)
-      let entries =
-        Mutex_util.with_lock cells_lock (fun () ->
-            Hashtbl.fold (fun k c acc -> (k, c.t0, c.t1) :: acc) cells [])
-        |> List.sort compare
-      in
-      match entries with
-      | [] -> ()
-      | _ :: _ ->
-          let t0 =
-            List.fold_left (fun acc (_, a, _) -> Float.min acc a) infinity
-              entries
-          and t1 =
-            List.fold_left (fun acc (_, _, b) -> Float.max acc b) neg_infinity
-              entries
-          in
-          let attrs = [ ("backend", backend) ] in
-          let run_id = Span.emit ~attrs ~name:"run" ~t_start:t0 ~t_stop:t1 () in
-          let tasks =
-            List.sort_uniq Int.compare
-              (List.filter_map
-                 (fun ((task, _), _, _) -> task)
-                 entries)
-          in
-          List.iter
-            (fun task ->
-              let mine =
-                List.filter (fun ((t, _), _, _) -> t = Some task) entries
-              in
-              let a0 =
-                List.fold_left (fun acc (_, a, _) -> Float.min acc a) infinity
-                  mine
-              and a1 =
-                List.fold_left
-                  (fun acc (_, _, b) -> Float.max acc b)
-                  neg_infinity mine
-              in
-              let attrs = ("task", string_of_int task) :: attrs in
-              let auction =
-                Span.emit ~parent:run_id ~attrs ~name:"task auction"
-                  ~t_start:a0 ~t_stop:a1 ()
-              in
-              List.iter
-                (fun ((_, phase), p0, p1) ->
-                  ignore
-                    (Span.emit ~parent:auction ~attrs ~name:phase ~t_start:p0
-                       ~t_stop:p1 ()))
-                mine)
-            tasks;
-          (* Taskless activity — payment reports, batch envelopes —
-             hangs directly off the run span. *)
-          List.iter
-            (fun ((task, phase), p0, p1) ->
-              if task = None then
-                ignore
-                  (Span.emit ~parent:run_id ~attrs ~name:phase ~t_start:p0
-                     ~t_stop:p1 ()))
-            entries
+    (* Sorted so span emission order (and hence span ids in the
+       export) is a function of the cells' keys, not of Hashtbl bucket
+       order. *)
+    let entries =
+      Mutex_util.with_lock cells_lock (fun () ->
+          Hashtbl.fold (fun k c acc -> (k, c.t0, c.t1) :: acc) cells [])
+      |> List.sort compare
+    in
+    let bounds =
+      List.fold_left
+        (fun (a, b) (_, p0, p1) -> (Float.min a p0, Float.max b p1))
+        (infinity, neg_infinity)
+    in
+    let attrs = [ ("backend", backend) ] in
+    let phase parent attrs ((_, name), t_start, t_stop) =
+      ignore (Span.emit ~parent ~attrs ~name ~t_start ~t_stop ())
+    in
+    if Metrics.exporting () && entries <> [] then begin
+      let t_start, t_stop = bounds entries in
+      let run_id = Span.emit ~attrs ~name:"run" ~t_start ~t_stop () in
+      List.sort_uniq Int.compare
+        (List.filter_map (fun ((task, _), _, _) -> task) entries)
+      |> List.iter (fun task ->
+             let mine =
+               List.filter (fun ((t, _), _, _) -> t = Some task) entries
+             in
+             let t_start, t_stop = bounds mine in
+             let attrs = ("task", string_of_int task) :: attrs in
+             let auction =
+               Span.emit ~parent:run_id ~attrs ~name:"task auction" ~t_start
+                 ~t_stop ()
+             in
+             List.iter (phase auction attrs) mine);
+      (* Taskless activity — payment reports, batch envelopes — hangs
+         directly off the run span. *)
+      List.iter
+        (fun (((task, _), _, _) as e) -> if task = None then phase run_id attrs e)
+        entries
     end
 end
 
@@ -550,7 +523,9 @@ let validate_bids (params : Params.t) bids =
         row)
     bids
 
-(* One protocol execution over a fixed agent population. *)
+(* One protocol execution over a fixed agent population. The caller
+   runs it in its own Dmw_obs scope, which closes only after it
+   returns, so it returns the result as a function of that scope. *)
 let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
     ~pipeline ~faults ~wal ~attempt ~backend (params : Params.t) ~bids =
   validate_bids params bids;
@@ -671,18 +646,20 @@ let run_attempt ~strategies ~seed ~keep_events ~batching ~hardened ~watchdog
             ))
   in
   let payments = Payment_infra.settle infra ~quorum:(n - params.c) in
-  { params;
-    backend = B.name;
-    pipeline = depth;
-    schedule;
-    first_prices;
-    second_prices;
-    payments;
-    statuses;
-    trace = info.trace;
-    duration = info.duration;
-    attempts = 1;
-    excluded = [||] }
+  fun metrics ->
+    { params;
+      backend = B.name;
+      pipeline = depth;
+      schedule;
+      first_prices;
+      second_prices;
+      payments;
+      statuses;
+      trace = info.trace;
+      metrics;
+      duration = info.duration;
+      attempts = 1;
+      excluded = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Re-auctioning after environmental aborts                            *)
@@ -790,12 +767,14 @@ let run ?(strategies = fun _ -> Strategy.Suggested) ?(seed = 42)
              faults = Option.map Fault.to_string faults }));
   let frozen = Array.make params0.Params.n None in
   let rec attempt_loop ~attempt ~params ~bids ~strategies ~orig ~faults =
-    let r =
-      run_attempt ~strategies
-        ~seed:(seed + (7919 * (attempt - 1)))
-        ~keep_events ~batching ~hardened ~watchdog ~pipeline ~faults ~wal
-        ~attempt ~backend params ~bids
+    let finish, metrics =
+      Obs.Metrics.scoped (fun () ->
+          run_attempt ~strategies
+            ~seed:(seed + (7919 * (attempt - 1)))
+            ~keep_events ~batching ~hardened ~watchdog ~pipeline ~faults ~wal
+            ~attempt ~backend params ~bids)
     in
+    let r = finish metrics in
     let give_up () = remap_result ~params0 ~orig ~frozen ~attempt r in
     if completed_attempt r || attempt > retries then give_up ()
     else begin
@@ -983,10 +962,8 @@ let resume ?(keep_events = true) ?backend ?(journal = true) path =
     ~t_stop:(Unix.gettimeofday ())
     ()
   |> ignore;
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "dmw_wal_recoveries_total" 1;
-    Obs.Metrics.bump "dmw_wal_recovered_records_total" (List.length old_dones)
-  end;
+  Obs.Metrics.bump "dmw_wal_recoveries_total" 1;
+  Obs.Metrics.bump "dmw_wal_recovered_records_total" (List.length old_dones);
   (* Cross-check: everything the crashed run journaled must be a
      sub-history of the re-run. With journaling on, compare against the
      fresh segment's own records; otherwise fall back to the final
@@ -1141,6 +1118,7 @@ let pp_summary fmt r =
     Format.fprintf fmt "pipeline depth = %d of %d tasks@," r.pipeline
       r.params.Params.m;
   Format.fprintf fmt "messages = %d, bytes = %d, %s = %.3f s [%s backend]@]"
-    (Trace.messages r.trace) (Trace.bytes r.trace)
+    (Obs.Metrics.total ~scope:r.metrics "dmw_messages_total")
+    (Obs.Metrics.total ~scope:r.metrics "dmw_bytes_total")
     (if r.backend = "sim" then "virtual time" else "wall time")
     r.duration r.backend

@@ -41,8 +41,11 @@ type result = {
       (** What the payment infrastructure issued, per agent. *)
   statuses : agent_status array;
   trace : Dmw_sim.Trace.t;
-      (** Message accounting; every backend records real sends. For a
+      (** The send events; every backend records real sends. For a
           re-auctioned run, the final attempt's trace. *)
+  metrics : Dmw_obs.Metrics.scope;
+      (** The closed scope of the attempt behind this result: messages,
+          modexps, mod-muls and every other counter of that attempt. *)
   duration : float;
       (** Virtual seconds until the last protocol message (sim), or
           wall-clock seconds for the run (threads, socket). *)
@@ -79,8 +82,9 @@ val apply_faults :
     identical policy. *)
 
 (** Observability aggregation at the transport boundary, shared by the
-    in-process backends and by the persistent [dmw_serve] service. All
-    counting is gated on {!Dmw_obs.Metrics.enabled}; the span state is
+    in-process backends and by the persistent [dmw_serve] service.
+    Counters go to the current {!Dmw_obs.Metrics} scope; the span
+    state is recorded only while the root is enabled, and is
     module-global (one instrumented run at a time — [reset] before,
     [emit] after). *)
 module Obs : sig

@@ -25,7 +25,7 @@ let per_task_margin (o : Minwork.outcome) =
 let max_optimal_n = 8
 
 let record_obs instance (o : Minwork.outcome) =
-  if Dmw_obs.Metrics.enabled () then begin
+  if Dmw_obs.Metrics.exporting () then begin
     Dmw_obs.Metrics.set "dmw_overpayment" (overpayment instance o);
     Dmw_obs.Metrics.set "dmw_frugality_ratio" (frugality_ratio instance o);
     let times = Instance.times instance in
@@ -87,20 +87,6 @@ let score ?optimal instance ~name (o : Mechanism.outcome) =
         total_payment = Some paid;
         overpayment_ = Some (paid -. cost);
         frugality = (if cost > 0.0 then Some (paid /. cost) else None) }
-
-let record_mechanism_obs instance ~name o =
-  if Dmw_obs.Metrics.enabled () then begin
-    let s = score instance ~name o in
-    let labels = [ ("mechanism", name) ] in
-    Dmw_obs.Metrics.set ~labels "dmw_mechanism_makespan" s.makespan;
-    Dmw_obs.Metrics.set ~labels "dmw_mechanism_total_work" s.total_work;
-    (match s.makespan_ratio with
-    | Some r -> Dmw_obs.Metrics.set ~labels "dmw_mechanism_makespan_ratio" r
-    | None -> ());
-    match s.frugality with
-    | Some f -> Dmw_obs.Metrics.set ~labels "dmw_mechanism_frugality" f
-    | None -> ()
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Empirical truthfulness: the misreport sweep                         *)

@@ -32,8 +32,8 @@ val per_task_margin : Minwork.outcome -> float array
     from the competition gap. *)
 
 val record_obs : Instance.t -> Minwork.outcome -> unit
-(** Publish quality gauges to {!Dmw_obs.Metrics} (no-op when
-    observability is off): [dmw_overpayment], [dmw_frugality_ratio],
+(** Publish quality gauges to {!Dmw_obs.Metrics} (no-op unless the
+    root is exporting): [dmw_overpayment], [dmw_frugality_ratio],
     and — on instances small enough for the exact branch and bound —
     [dmw_makespan_ratio], MinWork's makespan over {!Optimal}'s. *)
 
@@ -66,13 +66,6 @@ val score :
     outcome came from misreported bids). [optimal] lets callers that
     already computed the exact optimum share it; otherwise it is
     computed here when [agents <= max_optimal_n]. *)
-
-val record_mechanism_obs : Instance.t -> name:string -> Mechanism.outcome -> unit
-(** Publish the score as gauges labeled by mechanism (no-op when
-    observability is off): [dmw_mechanism_makespan],
-    [dmw_mechanism_total_work] and, when defined,
-    [dmw_mechanism_makespan_ratio] / [dmw_mechanism_frugality], each
-    with label [("mechanism", name)]. *)
 
 val truthfulness_probe :
   ?prng:Dmw_bigint.Prng.t ->

@@ -21,8 +21,10 @@ let pow_in p mont b e =
   | Some ctx -> Montgomery.pow ctx b e
   | None -> Zmod.pow p b e
 
+let modexps = Dmw_obs.Metrics.counter "dmw_modexp_total"
+
 let pow g b e =
-  Dmw_obs.Metrics.bump "dmw_modexp_total" 1;
+  Dmw_obs.Metrics.incr modexps;
   pow_in g.p g.mont b (mod_q g e)
 let commit g a b = mul g (pow g g.z1 a) (pow g g.z2 b)
 

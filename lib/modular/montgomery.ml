@@ -94,7 +94,7 @@ let mont_mul ctx t a b r =
 
 (* Counted multiply, as Zmod.mul counts its own. *)
 let mul_m ctx t a b r =
-  Zmod.Counters.bump_mul ();
+  Dmw_obs.Metrics.incr Zmod.modmuls;
   mont_mul ctx t a b r
 
 let scratch ctx = Array.make (ctx.s + 1) 0
@@ -134,7 +134,6 @@ let window el c =
 
 let pow ctx b e =
   if Bigint.sign e < 0 then invalid_arg "Montgomery.pow: negative exponent";
-  Zmod.Counters.bump_pow ();
   let nbits = Bigint.num_bits e in
   if nbits = 0 then Bigint.erem Bigint.one ctx.n
   else begin

@@ -42,8 +42,8 @@ val for_modulus : Bigint.t -> ctx option
 
 val pow : ctx -> Bigint.t -> Bigint.t -> Bigint.t
 (** [pow ctx b e = b^e mod m] for [e >= 0], via Montgomery
-    multiplication with 4-bit windowing. Counts one exponentiation and
-    each Montgomery multiplication in [Zmod.Counters].
+    multiplication with 4-bit windowing. Counts each Montgomery
+    multiplication in {!Zmod.modmuls}.
     @raise Invalid_argument on a negative exponent. *)
 
 val mul : ctx -> Bigint.t -> Bigint.t -> Bigint.t

@@ -1,24 +1,6 @@
 open Dmw_bigint
 
-module Counters = struct
-  (* Bumped from every agent thread during concurrent auctions —
-     atomics, or the counts drift under contention. *)
-  let enabled = Atomic.make false
-  let muls = Atomic.make 0
-  let pows = Atomic.make 0
-
-  let enable () = Atomic.set enabled true
-  let disable () = Atomic.set enabled false
-
-  let reset () =
-    Atomic.set muls 0;
-    Atomic.set pows 0
-
-  let multiplications () = Atomic.get muls
-  let exponentiations () = Atomic.get pows
-  let bump_mul () = if Atomic.get enabled then Atomic.incr muls
-  let bump_pow () = if Atomic.get enabled then Atomic.incr pows
-end
+let modmuls = Dmw_obs.Metrics.counter "dmw_modmul_total"
 
 let check_modulus m =
   if Bigint.compare m Bigint.zero <= 0 then
@@ -33,7 +15,7 @@ let sub m a b = normalize m (Bigint.sub a b)
 let neg m a = normalize m (Bigint.neg a)
 
 let mul m a b =
-  Counters.bump_mul ();
+  Dmw_obs.Metrics.incr modmuls;
   normalize m (Bigint.mul a b)
 
 let sqr m a = mul m a a
@@ -63,7 +45,6 @@ let inv m a =
   Bigint.erem x m
 
 let pow_direct m b e =
-  Counters.bump_pow ();
   let b = Bigint.erem b m in
   let n = Bigint.num_bits e in
   (* Left-to-right binary exponentiation. *)

@@ -2,9 +2,7 @@
 
     All functions take the modulus as their first argument and return
     canonical representatives in [[0, m)]. The modulus must be
-    positive; functions raise [Invalid_argument] otherwise. Counters
-    for multiplications and exponentiations can be enabled globally to
-    support the computational-cost experiment (Table 1). *)
+    positive; functions raise [Invalid_argument] otherwise. *)
 
 open Dmw_bigint
 
@@ -33,24 +31,6 @@ val egcd : Bigint.t -> Bigint.t -> Bigint.t * Bigint.t * Bigint.t
 
 val gcd : Bigint.t -> Bigint.t -> Bigint.t
 
-(** Operation counters, used by the Table 1 computational-cost bench.
-    Counting is off by default and adds negligible overhead. *)
-module Counters : sig
-  val enable : unit -> unit
-  val disable : unit -> unit
-  val reset : unit -> unit
-
-  val multiplications : unit -> int
-  (** Modular multiplications/squarings performed since [reset]. *)
-
-  val bump_mul : unit -> unit
-  (** Count one modular multiplication performed by an alternate
-      arithmetic path (e.g. {!Montgomery}); no-op while disabled. *)
-
-  val bump_pow : unit -> unit
-  (** Count one modular exponentiation performed by an alternate
-      arithmetic path; no-op while disabled. *)
-
-  val exponentiations : unit -> int
-  (** Modular exponentiations performed since [reset]. *)
-end
+val modmuls : Dmw_obs.Metrics.counter
+(** The [dmw_modmul_total] series: {!mul} and {!sqr} count one each,
+    and {!Montgomery} counts its products here too. *)

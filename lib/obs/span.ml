@@ -32,7 +32,7 @@ let parent_of = function
   | Some _ | None -> None
 
 let start ?parent ?(attrs = []) ~name ~now () =
-  if not (Metrics.enabled ()) then null
+  if not (Metrics.exporting ()) then null
   else begin
     let id = Atomic.fetch_and_add next_id 1 in
     with_lock (fun () ->
@@ -55,7 +55,7 @@ let finish id ~now =
               :: !finished)
 
 let emit ?parent ?(attrs = []) ~name ~t_start ~t_stop () =
-  if not (Metrics.enabled ()) then null
+  if not (Metrics.exporting ()) then null
   else begin
     let id = Atomic.fetch_and_add next_id 1 in
     with_lock (fun () ->

@@ -10,9 +10,9 @@
     real-time backends — the recorder does not read any clock itself,
     which is what keeps replayed runs deterministic.
 
-    Like {!Metrics}, recording is gated on the global
-    {!Metrics.enabled} switch and is thread-safe; reading works with
-    the switch off. *)
+    Spans belong to the {!Metrics} root: they are recorded only while
+    it is {!Metrics.exporting}, thread-safely; reading works with the
+    switch off. *)
 
 type id
 (** Opaque span handle. The null id (returned when recording is

@@ -351,7 +351,7 @@ let rec dispatch t =
   | Some first ->
       if t.cfg.wave_window > 0.0 then Thread.delay t.cfg.wave_window;
       let wave = Array.of_list (fill_wave t [ first ] (t.cfg.max_wave - 1)) in
-      (try run_epoch t wave
+      (try fst (Dmw_obs.Metrics.scoped (fun () -> run_epoch t wave))
        with exn -> fail_wave t wave (Printexc.to_string exn));
       dispatch t
 
@@ -676,10 +676,8 @@ let recover ?journal:w records =
   in
   (match w with Some jw -> Dmw_wal.sync jw | None -> ());
   let module Metrics = Dmw_obs.Metrics in
-  if Metrics.enabled () then begin
-    Metrics.bump ~labels:obs_labels "dmw_wal_recoveries_total" 1;
-    Metrics.bump ~labels:obs_labels "dmw_wal_recovered_records_total" kept
-  end;
+  Metrics.bump ~labels:obs_labels "dmw_wal_recoveries_total" 1;
+  Metrics.bump ~labels:obs_labels "dmw_wal_recovered_records_total" kept;
   let results =
     Hashtbl.fold (fun _ r acc -> r :: acc) settled []
     |> List.sort (fun a b -> Int.compare a.job b.job)

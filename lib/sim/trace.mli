@@ -1,11 +1,10 @@
 (** Message accounting and event tracing.
 
-    The communication-complexity experiment (Table 1) is driven
-    entirely by these counters: every point-to-point transmission is
-    recorded with its byte size and a free-form [tag] (e.g.
-    ["share"], ["commitments"], ["lambda_psi"]), and broadcasts are
-    accounted as [n − 1] unicasts exactly as Theorem 11 assumes.
-    The retained event list reproduces the Fig. 2 message sequence. *)
+    {!count} records every point-to-point transmission, with its byte
+    size and a [tag] (["share"], ["commitments"], ...), in the run's
+    {!Dmw_obs.Metrics} scope; broadcasts count as [n − 1] unicasts, as
+    Theorem 11 assumes. A trace keeps the send events, which reproduce
+    the Fig. 2 message sequence, and the last send time. *)
 
 type event = {
   time : float;        (** Virtual send time. *)
@@ -20,15 +19,9 @@ type t
 
 val create : ?keep_events:bool -> unit -> t
 (** With [~keep_events:false] (the default for large sweeps) only the
-    counters are maintained. *)
+    last send time is kept. *)
 
 val record : t -> event -> unit
-val messages : t -> int
-val bytes : t -> int
-val messages_by_tag : t -> (string * int) list
-(** Tag, count — sorted by tag. *)
-
-val bytes_by_tag : t -> (string * int) list
 val events : t -> event list
 (** Chronological (send order); empty unless [keep_events]. *)
 
@@ -37,10 +30,12 @@ val last_time : t -> float
     the protocol layer uses it as the effective completion time,
     excluding trailing no-op timer events. *)
 
-val reset : t -> unit
+val count : backend:string -> tag:string -> bytes:int -> unit
+(** Count one transmission in the current scope: [dmw_messages_total]
+    and [dmw_bytes_total], labelled by backend and tag. *)
 
-val pp_summary : Format.formatter -> t -> unit
-(** Per-tag table plus totals. *)
+val pp_summary : Format.formatter -> Dmw_obs.Metrics.scope -> unit
+(** A run's per-tag message and byte table, plus totals. *)
 
 val pp_sequence : max_events:int -> Format.formatter -> t -> unit
 (** Fig. 2-style arrow listing ["t=0.003 A2 -> A5 share (96 B)"]. *)

@@ -664,7 +664,7 @@ let fsync_locked w =
   if w.pending > 0 then begin
     Unix.fsync w.fd;
     w.pending <- 0;
-    if Metrics.enabled () then Metrics.bump "dmw_wal_fsyncs_total" 1
+    Metrics.bump "dmw_wal_fsyncs_total" 1
   end
 
 let frame r =
@@ -681,10 +681,8 @@ let append w r =
       if not w.closed then begin
         write_all w.fd (Bytes.of_string bytes);
         w.pending <- w.pending + 1;
-        if Metrics.enabled () then begin
-          Metrics.bump "dmw_wal_records_total" 1;
-          Metrics.bump "dmw_wal_bytes_total" (String.length bytes)
-        end;
+        Metrics.bump "dmw_wal_records_total" 1;
+        Metrics.bump "dmw_wal_bytes_total" (String.length bytes);
         if barrier r || w.pending >= w.sync_every then fsync_locked w
       end)
 

@@ -211,3 +211,14 @@ module Json = struct
 
   let to_int_array v = Array.of_list (List.map to_int (to_list v))
 end
+
+(* A protocol run's counts, read from its own Dmw_obs scope. *)
+let run_total name (r : Dmw_exec.result) =
+  Dmw_obs.Metrics.total ~scope:r.Dmw_exec.metrics name
+
+let run_messages = run_total "dmw_messages_total"
+let run_bytes = run_total "dmw_bytes_total"
+
+let run_messages_by_tag (r : Dmw_exec.result) =
+  Dmw_obs.Metrics.totals_by ~scope:r.Dmw_exec.metrics ~label:"tag"
+    "dmw_messages_total"

@@ -4,3 +4,10 @@
 type t = { bids : int array }
 
 let leak (a : t) = Dmw_obs.Metrics.set "dmw_bid" (float_of_int a.bids.(0))
+
+(* The same bid as the label of a counter looked up once: the
+   increment exports the series, label included. *)
+let leak_label (a : t) =
+  Dmw_obs.Metrics.incr
+    (Dmw_obs.Metrics.counter ~labels:[ ("bid", string_of_int a.bids.(0)) ]
+       "dmw_bid_total")

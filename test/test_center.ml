@@ -27,13 +27,13 @@ let test_message_count_linear () =
   let r = run () in
   Alcotest.(check int) "4n messages"
     (Dmw_center.message_count ~n ~m)
-    (Dmw_sim.Trace.messages r.Dmw_center.trace);
+    (Dmw_obs.Metrics.total ~scope:r.Dmw_center.metrics "dmw_messages_total");
   (* Scaling check: messages grow linearly in n (vs DMW's n²). *)
   let count n =
     let bids = Array.make n [| 1; 2 |] in
     let bids = Array.mapi (fun i _ -> [| 1 + (i mod 3); 1 + ((i + 1) mod 3) |]) bids in
     let r = Dmw_center.run ~n ~m:2 ~c:1 bids in
-    Dmw_sim.Trace.messages r.Dmw_center.trace
+    Dmw_obs.Metrics.total ~scope:r.Dmw_center.metrics "dmw_messages_total"
   in
   Alcotest.(check int) "n=8" 32 (count 8);
   Alcotest.(check int) "n=16 exactly doubles" 64 (count 16)

@@ -75,9 +75,9 @@ let signature (r : Dmw_exec.result) =
       (fun (s : Dmw_exec.agent_status) -> (s.Dmw_exec.agent, s.Dmw_exec.aborted))
       r.Dmw_exec.statuses,
     (r.Dmw_exec.attempts, r.Dmw_exec.excluded),
-    (Dmw_sim.Trace.messages r.Dmw_exec.trace,
-     Dmw_sim.Trace.bytes r.Dmw_exec.trace),
-    Dmw_sim.Trace.messages_by_tag r.Dmw_exec.trace )
+    (Test_support.run_messages r,
+     Test_support.run_bytes r),
+    Test_support.run_messages_by_tag r )
 
 let backends =
   [ ("sim", fun () -> Dmw_exec.sim ());

@@ -44,6 +44,9 @@ let test_seeded () =
   (* Hashtbl iteration order inside the consensus signature. *)
   check ~rule_path:"lib/fixtures/unsorted_consensus.ml" "Unsorted_consensus"
     [ ("D-consensus", 6) ];
+  (* Hashtbl iteration order naming the counter a run increments. *)
+  check ~rule_path:"lib/fixtures/hashorder_to_obs.ml" "Hashorder_to_obs"
+    [ ("D-obs", 7) ];
   (* The ambient Random state, at both use sites. *)
   check ~rule_path:"lib/fixtures/unseeded_random.ml" "Unseeded_random"
     [ ("D-random", 6); ("D-random", 8) ]
@@ -147,6 +150,7 @@ let test_unreadable_cmt () =
 let full_report =
   {|[{"file":"lib/fixtures/clock_to_wal.ml","line":8,"col":2,"rule":"D-wal","message":"a wall-clock reading reaches Dmw_wal.append — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
  {"file":"lib/fixtures/clock_to_wire.ml","line":6,"col":2,"rule":"D-wire","message":"a wall-clock reading reaches Frame.write — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
+ {"file":"lib/fixtures/hashorder_to_obs.ml","line":7,"col":2,"rule":"D-obs","message":"a Hashtbl-iteration-order dependent value reaches Dmw_obs.Metrics.incr — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
  {"file":"lib/fixtures/interproc.ml","line":8,"col":2,"rule":"D-audit","message":"a wall-clock reading reaches Audit.log — derive the value from (seed, params), normalize the iteration with a sort, or annotate the sanctioned crossing: (* det: <wallclock|timeout|obs-only|sorted>: reason *)"},
  {"file":"lib/fixtures/stale_annot.ml","line":10,"col":0,"rule":"stale-det","message":"(* det: sorted *) suppresses nothing here: the crossing it excused is gone — delete the annotation"},
  {"file":"lib/fixtures/stale_annot.ml","line":14,"col":0,"rule":"D-annot","message":"unknown det keyword 'lucky': the annotation must name the sanctioned regime — one of wallclock, timeout, obs-only, sorted"},
@@ -169,6 +173,7 @@ let test_full_report () =
         input ~rule_path:"lib/fixtures/unsorted_consensus.ml"
           "Unsorted_consensus";
         input ~rule_path:"lib/fixtures/unseeded_random.ml" "Unseeded_random";
+        input ~rule_path:"lib/fixtures/hashorder_to_obs.ml" "Hashorder_to_obs";
         input ~rule_path:"lib/fixtures/det_helper.ml" "Det_helper";
         input ~rule_path:"lib/fixtures/interproc.ml" "Interproc";
         input ~rule_path:"lib/fixtures/near_miss.ml" "Near_miss";

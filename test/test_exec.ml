@@ -72,8 +72,8 @@ let prop_pipeline_depth_invariant =
         Dmw_exec.run ~seed ~keep_events:false ~pipeline:depth ?backend p ~bids
       in
       let counters (r : Dmw_exec.result) =
-        ( Dmw_sim.Trace.messages r.Dmw_exec.trace,
-          Dmw_sim.Trace.bytes r.Dmw_exec.trace )
+        ( Test_support.run_messages r,
+          Test_support.run_bytes r )
       in
       let reference = run 1 in
       Dmw_exec.completed reference
@@ -152,8 +152,8 @@ let test_socket_matches_simulated () =
      the same sends the simulator's cost model counts, modulo extra
      fallback-round disclosures real time may add. *)
   Alcotest.(check bool) "trace recorded" true
-    (Dmw_sim.Trace.messages sock.Dmw_exec.trace
-    >= Dmw_sim.Trace.messages sim.Dmw_exec.trace)
+    (Test_support.run_messages sock
+    >= Test_support.run_messages sim)
 
 let test_socket_detects_deviation () =
   let r =
@@ -275,6 +275,52 @@ let test_backend_of_string () =
   Alcotest.(check bool) "junk rejected" true
     (Dmw_exec.backend_of_string "carrier-pigeon" = None)
 
+(* ------------------------------------------------------------------ *)
+(* Run scopes                                                          *)
+
+module Metrics = Dmw_obs.Metrics
+
+(* Every counter series of a scope (the root by default). *)
+let counters ?scope () =
+  List.filter_map
+    (function
+      | Metrics.Counter { name; labels; value } -> Some (name, labels, value)
+      | Metrics.Gauge _ | Metrics.Hist _ -> None)
+    (Metrics.samples ?scope ())
+
+let series = Alcotest.(list (triple string (list (pair string string)) int))
+
+(* Each run counts into its own scope, with the root disabled: two
+   same-seed runs report the same counts whatever ran between them
+   (here the cost experiment and a group construction, which both do
+   modular arithmetic), and a run inside an outer scope shows up there
+   exactly once. *)
+let test_run_scopes () =
+  Metrics.disable ();
+  Metrics.reset ();
+  let p = Params.make_exn ~group_bits:64 ~seed:3 ~n:4 ~m:1 ~c:1 () in
+  let bids = [| [| 2 |]; [| 1 |]; [| 2 |]; [| 2 |] |] in
+  let run () = Dmw_exec.run ~seed:5 ~keep_events:false p ~bids in
+  let first = run () in
+  ignore (Direct.agent_cost p ~bids ~agent:0 : Direct.cost);
+  (let module G = Dmw_modular.Group in
+   let g = p.Params.group in
+   ignore (G.create ~p:g.G.p ~q:g.G.q ~z1:g.G.z1 ~z2:g.G.z2));
+  let second = run () in
+  let count name = Metrics.total ~scope:first.Dmw_exec.metrics name in
+  Alcotest.(check bool) "the run did count" true
+    (count "dmw_modexp_total" > 0
+    && count "dmw_modmul_total" > 0
+    && count "dmw_messages_total" > 0);
+  Alcotest.check series "same-seed runs, same counts"
+    (counters ~scope:first.Dmw_exec.metrics ())
+    (counters ~scope:second.Dmw_exec.metrics ());
+  let inner, outer = Metrics.scoped run in
+  Alcotest.check series "counted once in the outer scope"
+    (counters ~scope:inner.Dmw_exec.metrics ())
+    (counters ~scope:outer ());
+  Alcotest.check series "nothing reaches the disabled root" [] (counters ())
+
 let () =
   Alcotest.run "dmw_exec"
     [ ("cross-backend",
@@ -293,4 +339,5 @@ let () =
          Alcotest.test_case "delayed publication reordering (regression)"
            `Quick test_delayed_publication_reordering ]);
       ("plumbing",
-       [ Alcotest.test_case "backend_of_string" `Quick test_backend_of_string ]) ]
+       [ Alcotest.test_case "backend_of_string" `Quick test_backend_of_string;
+         Alcotest.test_case "run scopes" `Quick test_run_scopes ]) ]

@@ -32,7 +32,8 @@ let test_seeded () =
   check_rules ~rule_path:"bench/bad_r4.ml" ~file:"bad_r4.ml" [ "R4" ];
   check_rules ~rule_path:"lib/exec/bad_r5.ml" ~file:"bad_r5.ml" [ "R5" ];
   check_rules ~rule_path:"lib/core/bad_r6.ml" ~file:"bad_r6.ml" [ "R6" ];
-  check_rules ~rule_path:"lib/exec/bad_r7.ml" ~file:"bad_r7.ml" [ "R7" ]
+  check_rules ~rule_path:"lib/exec/bad_r7.ml" ~file:"bad_r7.ml" [ "R7" ];
+  check_rules ~rule_path:"lib/exec/bad_r8.ml" ~file:"bad_r8.ml" [ "R8" ]
 
 let test_scope () =
   (* The same sources under exempted paths: R1 inside lib/modular, R3
@@ -51,7 +52,10 @@ let test_scope () =
   (* R7 is scoped to lib/ and exempts the Dmw_obs sinks themselves;
      bench and tools print freely. *)
   check_rules ~rule_path:"lib/obs/bad_r7.ml" ~file:"bad_r7.ml" [];
-  check_rules ~rule_path:"bench/bad_r7.ml" ~file:"bad_r7.ml" []
+  check_rules ~rule_path:"bench/bad_r7.ml" ~file:"bad_r7.ml" [];
+  (* R8 holds in all of lib/, Dmw_obs included; benches, binaries and
+     tests drive the root. *)
+  check_rules ~rule_path:"bench/bad_r8.ml" ~file:"bad_r8.ml" []
 
 let test_clean () =
   let vs = Lint.lint_file ~rule_path:"lib/exec/clean.ml" (fixture "clean.ml") in
@@ -103,6 +107,30 @@ let test_stale_allow () =
   Alcotest.(check bool) "json carries stale-allow" true
     (contains ~affix:"\"rule\":\"stale-allow\"" json)
 
+let test_allow_in_string () =
+  (* Markers inside string literals are no allowances for any of the
+     four passes: the R6 they sit above still fires, and there is
+     nothing for the hygiene rules (stale-allow, T-annot, D-annot,
+     R-annot) to report. *)
+  let file = fixture "allow_in_string.ml" in
+  let vs = Lint.lint_file ~rule_path:"lib/core/allow_in_string.ml" file in
+  Alcotest.(check (list (pair string int)))
+    (Printf.sprintf "allow_in_string.ml -> %s" (pp_violations vs))
+    [ ("R6", 12) ]
+    (List.map (fun v -> (v.Lint.rule, v.Lint.line)) vs);
+  let source = Analysis_kit.Fs.read_file file in
+  List.iter
+    (fun marker ->
+      Alcotest.(check int)
+        (Printf.sprintf "no %S allowance" marker)
+        0
+        (List.length (Analysis_kit.Allow.scan ~marker source)))
+    [ "lint: allow "; "taint: declassify "; "det: "; "race: confined " ];
+  (* The same marker in a real comment is still an allowance. *)
+  match Analysis_kit.Allow.scan ~marker:"lint: allow " "(* lint: allow partial *)\n" with
+  | [ a ] -> Alcotest.(check string) "comment keyword" "partial" a.keyword
+  | allows -> Alcotest.failf "expected one allowance, got %d" (List.length allows)
+
 let test_parse_error () =
   (* A file that does not parse yields a single "parse" violation
      rather than an exception. *)
@@ -125,6 +153,8 @@ let () =
       ( "reporting",
         [ Alcotest.test_case "stale allowances are reported" `Quick
             test_stale_allow;
+          Alcotest.test_case "markers in string literals are inert" `Quick
+            test_allow_in_string;
           Alcotest.test_case "positions" `Quick test_positions;
           Alcotest.test_case "human and json output" `Quick test_output_modes;
           Alcotest.test_case "parse errors are violations" `Quick

@@ -58,19 +58,20 @@ let test_egcd_bezout () =
   check_bigint "bezout" g
     (Bigint.add (Bigint.mul (bi "240") x) (Bigint.mul (bi "46") y))
 
+(* Modexps are counted once, by Group.pow; mod-muls by Zmod.mul. *)
+let counted f = snd (Dmw_obs.Metrics.scoped f)
+let modexps scope = Dmw_obs.Metrics.total ~scope "dmw_modexp_total"
+let modmuls scope = Dmw_obs.Metrics.total ~scope "dmw_modmul_total"
+
 let test_counters () =
-  Zmod.Counters.reset ();
-  Zmod.Counters.enable ();
-  ignore (Zmod.pow p97 (bi "2") (bi "20"));
-  Zmod.Counters.disable ();
-  Alcotest.(check int) "one pow" 1 (Zmod.Counters.exponentiations ());
-  Alcotest.(check bool) "some muls" true (Zmod.Counters.multiplications () > 0);
-  let before = Zmod.Counters.multiplications () in
+  let g = Test_support.tiny_group () in
+  let scope = counted (fun () -> ignore (Group.pow g g.Group.z1 (bi "20"))) in
+  Alcotest.(check int) "one pow" 1 (modexps scope);
+  Alcotest.(check bool) "some muls" true (modmuls scope > 0);
+  let before = modmuls scope in
   ignore (Zmod.mul p97 (bi "2") (bi "3"));
-  Alcotest.(check int) "disabled does not count" before
-    (Zmod.Counters.multiplications ());
-  Zmod.Counters.reset ();
-  Alcotest.(check int) "reset" 0 (Zmod.Counters.multiplications ())
+  Alcotest.(check int) "closed scope does not count" before (modmuls scope);
+  Alcotest.(check int) "fresh scope" 0 (modmuls (counted ignore))
 
 (* ------------------------------------------------------------------ *)
 (* Zmod properties                                                     *)
@@ -233,13 +234,10 @@ let test_group_context_above_threshold () =
     (Option.is_none (Montgomery.for_modulus (Bigint.shift_left Bigint.one 600)));
   check_bigint "z1^q = 1 via the context" Bigint.one
     (Group.pow g g.Group.z1 g.Group.q);
-  (* Counters still track exponentiations on the context. *)
-  Zmod.Counters.reset ();
-  Zmod.Counters.enable ();
-  ignore (Group.pow g g.Group.z2 (bi "123456789"));
-  Zmod.Counters.disable ();
-  Alcotest.(check int) "pow counted" 1 (Zmod.Counters.exponentiations ());
-  Alcotest.(check bool) "muls counted" true (Zmod.Counters.multiplications () > 0)
+  (* The context's pows and products are counted too. *)
+  let scope = counted (fun () -> ignore (Group.pow g g.Group.z2 (bi "123456789"))) in
+  Alcotest.(check int) "pow counted" 1 (modexps scope);
+  Alcotest.(check bool) "muls counted" true (modmuls scope > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Primality                                                           *)

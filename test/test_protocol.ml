@@ -99,8 +99,8 @@ let test_matches_direct_execution () =
 let test_deterministic_given_seeds () =
   let p = params () in
   let r1 = run p and r2 = run p in
-  Alcotest.(check int) "same message count" (Trace.messages r1.Dmw_exec.trace)
-    (Trace.messages r2.Dmw_exec.trace);
+  Alcotest.(check int) "same message count" (Test_support.run_messages r1)
+    (Test_support.run_messages r2);
   Alcotest.(check bool) "same schedule" true
     (match (r1.Dmw_exec.schedule, r2.Dmw_exec.schedule) with
     | Some a, Some b -> Schedule.equal a b
@@ -134,7 +134,7 @@ let test_message_counts_exact () =
   let r = run p in
   let n = p.Params.n and m = p.Params.m in
   let per_publish = n * (n - 1) in
-  let by_tag = Trace.messages_by_tag r.Dmw_exec.trace in
+  let by_tag = Test_support.run_messages_by_tag r in
   let count tag = try List.assoc tag by_tag with Not_found -> 0 in
   Alcotest.(check int) "shares" (m * n * (n - 1)) (count "share");
   Alcotest.(check int) "commitments" (m * per_publish) (count "commitments");
@@ -157,7 +157,7 @@ let test_message_count_scales_quadratically () =
     let p = params ~n ~m:1 () in
     let bids = Array.init n (fun i -> [| 1 + (i mod p.Params.w_max) |]) in
     let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false in
-    Trace.messages r.Dmw_exec.trace
+    Test_support.run_messages r
   in
   let c6 = count 6 and c12 = count 12 in
   let ratio = float_of_int c12 /. float_of_int c6 in
@@ -193,16 +193,16 @@ let test_batching_reduces_messages () =
   in
   let plain = Dmw_exec.run ~seed:7 p ~bids ~keep_events:false in
   let batched = Dmw_exec.run ~seed:7 p ~bids ~keep_events:false ~batching:true in
-  let pm = Trace.messages plain.Dmw_exec.trace in
-  let bm = Trace.messages batched.Dmw_exec.trace in
-  let pb = Trace.bytes plain.Dmw_exec.trace in
-  let bb = Trace.bytes batched.Dmw_exec.trace in
+  let pm = Test_support.run_messages plain in
+  let bm = Test_support.run_messages batched in
+  let pb = Test_support.run_bytes plain in
+  let bb = Test_support.run_bytes batched in
   Alcotest.(check bool)
     (Printf.sprintf "fewer messages (%d < %d)" bm pm)
     true (bm < pm);
   (* Phase II alone saves a factor ~2m on its share of the messages. *)
   Alcotest.(check bool) "batch envelopes used" true
-    (List.mem_assoc "batch" (Trace.messages_by_tag batched.Dmw_exec.trace));
+    (List.mem_assoc "batch" (Test_support.run_messages_by_tag batched));
   (* Payload volume is preserved up to small per-envelope headers. *)
   Alcotest.(check bool)
     (Printf.sprintf "bytes comparable (%d vs %d)" bb pb)

@@ -26,8 +26,8 @@ let signature (r : Dmw_exec.result) =
       (fun (s : Dmw_exec.agent_status) -> (s.Dmw_exec.agent, s.Dmw_exec.aborted))
       r.Dmw_exec.statuses,
     (r.Dmw_exec.attempts, r.Dmw_exec.excluded),
-    (Trace.messages r.Dmw_exec.trace, Trace.bytes r.Dmw_exec.trace),
-    Trace.messages_by_tag r.Dmw_exec.trace )
+    (Test_support.run_messages r, Test_support.run_bytes r),
+    Test_support.run_messages_by_tag r )
 
 let prop_replay =
   QCheck.Test.make ~count:4

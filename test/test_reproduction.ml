@@ -16,7 +16,7 @@ let dmw_messages n =
   in
   let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false in
   Alcotest.(check bool) "completed" true (Dmw_exec.completed r);
-  float_of_int (Trace.messages r.Dmw_exec.trace)
+  float_of_int (Test_support.run_messages r)
 
 let test_table1_communication_shape () =
   let ns = [ 4; 6; 8; 10 ] in
@@ -114,7 +114,7 @@ let test_batching_shape () =
     let rng = Dmw_bigint.Prng.create ~seed:m in
     let bids = Dmw_workload.Workload.random_levels rng ~n:6 ~m ~w_max:p.Params.w_max in
     let r = Dmw_exec.run ~seed:5 p ~bids ~keep_events:false ~batching in
-    Trace.messages r.Dmw_exec.trace
+    Test_support.run_messages r
   in
   let plain_growth = float_of_int (count ~batching:false 8) /. float_of_int (count ~batching:false 2) in
   let batched_growth = float_of_int (count ~batching:true 8) /. float_of_int (count ~batching:true 2) in

@@ -95,8 +95,8 @@ let test_concurrent_batching_parity () =
     (Dmw_exec.completed plain && Dmw_exec.completed batched);
   check_same_outcome "batched vs plain" plain batched;
   Alcotest.(check bool) "fewer envelopes" true
-    (Dmw_sim.Trace.messages batched.Dmw_exec.trace
-    < Dmw_sim.Trace.messages plain.Dmw_exec.trace)
+    (Test_support.run_messages batched
+    < Test_support.run_messages plain)
 
 let test_concurrent_hardened_parity () =
   let hardened = run_threads ~hardened:true () in

@@ -59,19 +59,28 @@ let ev ?(time = 0.0) ?(src = 0) ?(dst = 1) ?(tag = "x") ?(bytes = 10)
     ?(broadcast = false) () =
   { Trace.time; src; dst; tag; bytes; broadcast }
 
+(* A run's message counters live in its Metrics scope, fed by
+   Trace.count; the trace itself keeps only the event list. *)
+let count_all evs =
+  snd
+    (Dmw_obs.Metrics.scoped (fun () ->
+         List.iter
+           (fun e ->
+             Trace.count ~backend:"sim" ~tag:e.Trace.tag ~bytes:e.Trace.bytes)
+           evs))
+
 let test_trace_counters () =
-  let t = Trace.create () in
-  Trace.record t (ev ());
-  Trace.record t (ev ~tag:"y" ~bytes:5 ());
-  Trace.record t (ev ~tag:"x" ~bytes:7 ());
-  Alcotest.(check int) "messages" 3 (Trace.messages t);
-  Alcotest.(check int) "bytes" 22 (Trace.bytes t);
+  let scope = count_all [ ev (); ev ~tag:"y" ~bytes:5 (); ev ~tag:"x" ~bytes:7 () ] in
+  let total = Dmw_obs.Metrics.total ~scope
+  and by_tag = Dmw_obs.Metrics.totals_by ~scope ~label:"tag" in
+  Alcotest.(check int) "messages" 3 (total "dmw_messages_total");
+  Alcotest.(check int) "bytes" 22 (total "dmw_bytes_total");
   Alcotest.(check (list (pair string int))) "by tag"
     [ ("x", 2); ("y", 1) ]
-    (Trace.messages_by_tag t);
+    (by_tag "dmw_messages_total");
   Alcotest.(check (list (pair string int))) "bytes by tag"
     [ ("x", 17); ("y", 5) ]
-    (Trace.bytes_by_tag t)
+    (by_tag "dmw_bytes_total")
 
 let test_trace_events_order () =
   let t = Trace.create () in
@@ -82,16 +91,12 @@ let test_trace_events_order () =
 
 let test_trace_no_events_mode () =
   let t = Trace.create ~keep_events:false () in
-  Trace.record t (ev ());
-  Alcotest.(check int) "counts" 1 (Trace.messages t);
-  Alcotest.(check int) "no events" 0 (List.length (Trace.events t))
-
-let test_trace_reset () =
-  let t = Trace.create () in
-  Trace.record t (ev ());
-  Trace.reset t;
-  Alcotest.(check int) "messages" 0 (Trace.messages t);
-  Alcotest.(check int) "bytes" 0 (Trace.bytes t)
+  Trace.record t (ev ~time:1.5 ());
+  let scope = count_all [ ev () ] in
+  Alcotest.(check int) "counts" 1
+    (Dmw_obs.Metrics.total ~scope "dmw_messages_total");
+  Alcotest.(check int) "no events" 0 (List.length (Trace.events t));
+  Alcotest.(check (float 0.0)) "last send time kept" 1.5 (Trace.last_time t)
 
 (* ------------------------------------------------------------------ *)
 (* Fault                                                               *)
@@ -184,7 +189,7 @@ let test_fault_drop_random_master_seed () =
         ~bids:[| [| 2 |]; [| 1 |]; [| 2 |]; [| 2 |] |]
     in
     ( Dmw_exec.completed r,
-      Dmw_sim.Trace.messages r.Dmw_exec.trace,
+      Test_support.run_messages r,
       Array.map
         (fun (s : Dmw_exec.agent_status) -> s.Dmw_exec.aborted)
         r.Dmw_exec.statuses )
@@ -274,8 +279,10 @@ let test_engine_broadcast_counting () =
       Engine.publish eng ~src:2 ~tag:"announce" ~bytes:100 ());
   Engine.run eng;
   Alcotest.(check int) "deliveries" 4 !received;
-  Alcotest.(check int) "messages counted" 4 (Trace.messages (Engine.trace eng));
-  Alcotest.(check int) "bytes" 400 (Trace.bytes (Engine.trace eng))
+  let events = Trace.events (Engine.trace eng) in
+  Alcotest.(check int) "messages counted" 4 (List.length events);
+  Alcotest.(check int) "bytes" 400
+    (List.fold_left (fun acc e -> acc + e.Trace.bytes) 0 events)
 
 let test_engine_self_send_not_counted () =
   let eng = Engine.create ~seed:1 ~nodes:2 () in
@@ -285,7 +292,8 @@ let test_engine_self_send_not_counted () =
       Engine.send eng ~src:0 ~dst:0 ~tag:"self" ~bytes:4 ());
   Engine.run eng;
   Alcotest.(check bool) "delivered" true !got;
-  Alcotest.(check int) "not counted" 0 (Trace.messages (Engine.trace eng))
+  Alcotest.(check int) "not counted" 0
+    (List.length (Trace.events (Engine.trace eng)))
 
 let test_engine_deterministic () =
   let run_once () =
@@ -348,7 +356,8 @@ let test_engine_duplicate_delivery () =
   Engine.run eng;
   Alcotest.(check int) "delivered twice" 2 !count;
   (* Duplication is a delivery phenomenon: the message is counted once. *)
-  Alcotest.(check int) "counted once" 1 (Trace.messages (Engine.trace eng))
+  Alcotest.(check int) "counted once" 1
+    (List.length (Trace.events (Engine.trace eng)))
 
 let test_engine_jitter_breaks_fifo () =
   (* With heavy jitter, two back-to-back messages on one link can swap:
@@ -417,8 +426,7 @@ let () =
       ("trace",
        [ Alcotest.test_case "counters" `Quick test_trace_counters;
          Alcotest.test_case "event order" `Quick test_trace_events_order;
-         Alcotest.test_case "counters-only mode" `Quick test_trace_no_events_mode;
-         Alcotest.test_case "reset" `Quick test_trace_reset ]);
+         Alcotest.test_case "counters-only mode" `Quick test_trace_no_events_mode ]);
       ("fault",
        [ Alcotest.test_case "none" `Quick test_fault_none_allows;
          Alcotest.test_case "crash" `Quick test_fault_crash;

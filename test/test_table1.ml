@@ -2,8 +2,9 @@
    regression. Uniform bids at level w make every auction resolve at
    y* = y** = w, so Dmw_obs.Table1's closed forms predict the exact
    per-run message and exponentiation counts; this suite checks the
-   measured Dmw_obs counters against them — exactly, not
-   asymptotically — on all three backends.
+   counters of each run's own Dmw_obs scope against them — exactly,
+   not asymptotically — on all three backends, with the process-global
+   root left disabled.
 
    The 16-bit group keeps each run far below the agents' 50 ms
    recovery timeouts on the real-time backends; with bigger groups a
@@ -23,36 +24,26 @@ let tags =
     "f_disclosure_hardened"; "lambda_psi_excl"; "payment_report" ]
 
 let run_uniform ?pipeline ~backend ~n ~m ~w () =
-  Metrics.reset ();
-  Dmw_obs.Span.reset ();
-  Metrics.enable ();
-  Fun.protect ~finally:Metrics.disable @@ fun () ->
   let params = Params.make_exn ~group_bits:16 ~seed ~n ~m ~c:1 () in
   let bids = Array.make_matrix n m w in
   Dmw_exec.run ~seed ?pipeline ~backend params ~bids
 
-let measured_messages ~backend_name =
+(* Read from the run's own scope, or from the root when [scope] is
+   omitted. *)
+let measured_messages ?scope ~backend_name () =
   List.fold_left
     (fun acc tag ->
       acc
-      + Metrics.counter_value
+      + Metrics.counter_value ?scope
           ~labels:[ ("backend", backend_name); ("tag", tag) ]
           "dmw_messages_total")
-    0 tags
-
-let measured_bytes ~backend_name =
-  List.fold_left
-    (fun acc tag ->
-      acc
-      + Metrics.counter_value
-          ~labels:[ ("backend", backend_name); ("tag", tag) ]
-          "dmw_bytes_total")
     0 tags
 
 let check_point ?pipeline backend (n, m, w) =
   let name = Dmw_exec.backend_name backend in
   let label fmt = Printf.sprintf fmt name n m w in
   let r = run_uniform ?pipeline ~backend ~n ~m ~w () in
+  let scope = r.Dmw_exec.metrics in
   Alcotest.(check bool) (label "%s n=%d m=%d w=%d completes") true
     (Dmw_exec.completed r);
   (* Uniform bids: both prices resolve at the bid level. *)
@@ -65,36 +56,28 @@ let check_point ?pipeline backend (n, m, w) =
   Alcotest.(check int)
     (label "%s n=%d m=%d w=%d messages")
     (Table1.messages_per_run ~n ~m ~y_star:w)
-    (measured_messages ~backend_name:name);
-  (* The observability counters and the backend's own trace are two
-     independent accountants of the same boundary. *)
-  Alcotest.(check int)
-    (label "%s n=%d m=%d w=%d obs = trace messages")
-    (Dmw_sim.Trace.messages r.Dmw_exec.trace)
-    (measured_messages ~backend_name:name);
-  Alcotest.(check int)
-    (label "%s n=%d m=%d w=%d obs = trace bytes")
-    (Dmw_sim.Trace.bytes r.Dmw_exec.trace)
-    (measured_bytes ~backend_name:name);
+    (measured_messages ~scope ~backend_name:name ());
   (* Every message except the n payment reports (addressed to the
      infrastructure node) is delivered to an agent exactly once. *)
   Alcotest.(check int)
     (label "%s n=%d m=%d w=%d receives")
     (Table1.messages_per_run ~n ~m ~y_star:w - n)
-    (Metrics.counter_value ~labels:[ ("backend", name) ] "dmw_recv_total");
+    (Metrics.counter_value ~scope
+       ~labels:[ ("backend", name) ]
+       "dmw_recv_total");
   (* Computational column. *)
   Alcotest.(check int)
     (label "%s n=%d m=%d w=%d modexps")
     (Table1.modexps_per_run ~n ~m ~y_star:w)
-    (Metrics.counter_value "dmw_modexp_total");
+    (Metrics.counter_value ~scope "dmw_modexp_total");
   Alcotest.(check int)
     (label "%s n=%d m=%d w=%d commitments")
     (Table1.commitments_per_run ~n ~m)
-    (Metrics.counter_value "dmw_commitments_total");
+    (Metrics.counter_value ~scope "dmw_commitments_total");
   Alcotest.(check int)
     (label "%s n=%d m=%d w=%d degree tests")
     (Table1.resolution_tests_per_run ~n ~m ~c:1 ~y_star:w)
-    (Metrics.counter_value "dmw_resolution_tests_total")
+    (Metrics.counter_value ~scope "dmw_resolution_tests_total")
 
 let test_backend backend () =
   List.iter (check_point backend) points
@@ -109,8 +92,8 @@ let test_pipelined_points () =
       check_point ~pipeline:2 backend (7, 3, 3))
     [ Dmw_exec.sim (); Dmw_exec.threads (); Dmw_exec.socket () ]
 
-(* With observability off, the instrumented seams must record
-   nothing: the disabled branch is the whole hot-path cost. *)
+(* With the root off, a run counts into its own scope only: nothing
+   reaches the root, and no span is recorded. *)
 let test_disabled_records_nothing () =
   Metrics.reset ();
   Dmw_obs.Span.reset ();
@@ -120,7 +103,7 @@ let test_disabled_records_nothing () =
   Alcotest.(check int) "no modexps recorded" 0
     (Metrics.counter_value "dmw_modexp_total");
   Alcotest.(check int) "no messages recorded" 0
-    (measured_messages ~backend_name:"sim");
+    (measured_messages ~backend_name:"sim" ());
   Alcotest.(check int) "no spans recorded" 0
     (List.length (Dmw_obs.Span.completed ()))
 

@@ -41,7 +41,8 @@ let test_seeded () =
   check ~rule_path:"lib/crypto/leak_share.ml" "Leak_share" [ ("T-log", 3) ];
   check ~rule_path:"lib/crypto/leak_dealer.ml" "Leak_dealer" [ ("T-msg", 4) ];
   check ~rule_path:"lib/core/leak_bid.ml" "Leak_bid" [ ("T-trace", 5) ];
-  check ~rule_path:"lib/core/leak_obs.ml" "Leak_obs" [ ("T-log", 6) ]
+  check ~rule_path:"lib/core/leak_obs.ml" "Leak_obs"
+    [ ("T-log", 6); ("T-log", 11) ]
 
 let test_scope () =
   (* The same cmts under paths where the source class is not secret:
@@ -132,6 +133,7 @@ let test_unreadable_cmt () =
 let full_report =
   {|[{"file":"lib/core/leak_bid.ml","line":5,"col":2,"rule":"T-trace","message":"an agent bid reaches Trace.record — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
  {"file":"lib/core/leak_obs.ml","line":6,"col":19,"rule":"T-log","message":"an agent bid reaches Dmw_obs.Metrics.set — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
+ {"file":"lib/core/leak_obs.ml","line":11,"col":2,"rule":"T-log","message":"an agent bid reaches Dmw_obs.Metrics.incr — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},
  {"file":"lib/crypto/annotated.ml","line":8,"col":0,"rule":"stale-declassify","message":"(* taint: declassify pedersen *) suppresses nothing here: the crossing it excused is gone — delete the annotation"},
  {"file":"lib/crypto/annotated.ml","line":11,"col":0,"rule":"T-annot","message":"unknown declassify keyword 'spectre': the annotation must name the sanctioned declassifier family — one of pedersen, share, exponent, disclosure"},
  {"file":"lib/crypto/leak_dealer.ml","line":4,"col":2,"rule":"T-msg","message":"secret dealer state (polynomial coefficients or tau) reaches the Messages.F_disclosure constructor — route it through a sanctioned declassifier (Pedersen.commit, Bid_commitments.share_for, Exponent_resolution/Degree_resolution) or annotate the crossing: (* taint: declassify <pedersen|share|exponent|disclosure>: reason *)"},

@@ -95,38 +95,38 @@ module Allow = struct
     || (c >= '0' && c <= '9')
     || c = '-'
 
+  (* The source's comments, docstrings included, as the compiler's
+     lexer sees them: a marker inside a string literal is not one. *)
+  let comments src =
+    Lexer.init ();
+    let lexbuf = Lexing.from_string src in
+    let rec drain () =
+      match Lexer.token lexbuf with Parser.EOF -> () | _ -> drain ()
+    in
+    (try drain () with Lexer.Error _ -> ());
+    Lexer.comments ()
+
   (* The allowance is anchored to the line where the comment closes
      (and covers the line below it), so a multi-line justification
      still attaches to the code it precedes. *)
   let scan ~marker src =
-    let line_of pos =
-      let n = ref 1 in
-      for i = 0 to pos - 1 do
-        if src.[i] = '\n' then incr n
-      done;
-      !n
-    in
-    let allows = ref [] in
-    let rec go pos =
-      match Fs.find_substring ~start:pos src marker with
-      | None -> ()
-      | Some j ->
-          let start = j + String.length marker in
-          let stop = ref start in
-          while !stop < String.length src && keyword_char src.[!stop] do
-            incr stop
-          done;
-          let keyword = String.sub src start (!stop - start) in
-          let anchor =
-            match Fs.find_substring ~start:!stop src "*)" with
-            | Some close -> close
-            | None -> j
-          in
-          allows := { line = line_of anchor; keyword; used = false } :: !allows;
-          go !stop
-    in
-    go 0;
-    List.rev !allows
+    List.concat_map
+      (fun (text, loc) ->
+        let line = loc.Location.loc_end.Lexing.pos_lnum in
+        let rec go pos =
+          match Fs.find_substring ~start:pos text marker with
+          | None -> []
+          | Some j ->
+              let start = j + String.length marker in
+              let stop = ref start in
+              while !stop < String.length text && keyword_char text.[!stop] do
+                incr stop
+              done;
+              let keyword = String.sub text start (!stop - start) in
+              { line; keyword; used = false } :: go !stop
+        in
+        go 0)
+      (comments src)
 
   let claim allows ~keyword_ok ~line =
     let hit = ref false in

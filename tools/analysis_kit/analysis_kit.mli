@@ -36,9 +36,10 @@ end
 module Allow : sig
   (** The escape-hatch comment scanner. Each pass declares its marker:
       ["lint: allow "], ["taint: declassify "], ["det: "] or
-      ["race: confined "]. An occurrence inside a comment binds a
-      keyword and anchors at the line where the comment {e closes},
-      covering that line and the one below. Each allowance records
+      ["race: confined "]. An occurrence inside a comment (or
+      docstring) binds a keyword and anchors at the line where the
+      comment {e closes}, covering that line and the one below; one in
+      a string literal or in code is not an allowance. Each allowance records
       whether it suppressed anything, so that a stale escape hatch is
       itself a finding. *)
 
@@ -49,8 +50,9 @@ module Allow : sig
   }
 
   val scan : marker:string -> string -> t list
-  (** All occurrences of [marker<keyword>] in the source text, in
-      file order. Keywords are [[a-zA-Z0-9-]+]. *)
+  (** All occurrences of [marker<keyword>] in the comments of the
+      source text, as the OCaml lexer finds them, in file order.
+      Keywords are [[a-zA-Z0-9-]+]. *)
 
   val claim : t list -> keyword_ok:(string -> bool) -> line:int -> bool
   (** Does some allowance whose keyword satisfies [keyword_ok] cover

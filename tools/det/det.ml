@@ -88,7 +88,7 @@ let sink_fn (m, v) =
   | "Prng", "create" -> Some ("D-seed", "the Prng.create seed")
   | "Fault", "instantiate" -> Some ("D-seed", "the Fault.instantiate seed")
   | "Trace", "record" -> Some ("D-obs", "Trace.record")
-  | "Metrics", ("bump" | "set" | "observe") ->
+  | "Metrics", ("bump" | "incr" | "set" | "observe") ->
       Some ("D-obs", "Dmw_obs.Metrics." ^ v)
   | "Span", ("start" | "emit") -> Some ("D-obs", "Dmw_obs.Span." ^ v)
   | "Export", ("json_lines" | "prometheus" | "write_file" | "dump") ->

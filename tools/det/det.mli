@@ -41,7 +41,8 @@
     - [D-seed] — the seeds handed to [Prng.create] and
       [Fault.instantiate]: derivation must be arithmetic on
       (seed, params), never clocks or addresses.
-    - [D-obs] — [Trace.record], [Dmw_obs] metrics/span/export calls.
+    - [D-obs] — [Trace.record], [Dmw_obs] metrics/span/export calls
+      ([Metrics.bump]/[incr]/[set]/[observe], ...).
       Distinct regime: [wallclock] crosses silently (recording wall
       times is the point of the layer), but [hashorder]/[physeq]/[env]
       still corrupt reports and replay diffs.

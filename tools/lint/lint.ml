@@ -32,6 +32,7 @@ type active = {
   r5 : bool;
   r6 : bool;
   r7 : bool;
+  r8 : bool;
 }
 
 let active_for path =
@@ -54,7 +55,8 @@ let active_for path =
       || has_prefix "lib/exec/" path
       || has_prefix "lib/net/" path;
     r6 = true;
-    r7 = has_prefix "lib/" path && not (has_prefix "lib/obs/" path) }
+    r7 = has_prefix "lib/" path && not (has_prefix "lib/obs/" path);
+    r8 = has_prefix "lib/" path }
 
 (* ------------------------------------------------------------------ *)
 (* Escape hatch: (* lint: allow <kw>: reason *)                        *)
@@ -62,7 +64,8 @@ let active_for path =
 
 let keyword_rules =
   [ ("bigint-arith", "R1"); ("poly-eq", "R2"); ("random", "R3");
-    ("mutex", "R4"); ("wildcard", "R5"); ("partial", "R6"); ("printf", "R7") ]
+    ("mutex", "R4"); ("wildcard", "R5"); ("partial", "R6"); ("printf", "R7");
+    ("obs-root", "R8") ]
 
 (* A rule answers to its keyword and to its literal id, "R1" or "r1". *)
 let rule_of_keyword kw =
@@ -257,6 +260,18 @@ let check_structure ~file ~rules ~allows structure =
                  reports stay machine-readable (escape hatch: (* lint: allow \
                  printf: reason *))"
                 f)
+       | _ -> ());
+    (if rules.r8 then
+       match List.rev (flatten txt) with
+       | (("enable" | "disable" | "reset") as f) :: ("Metrics" as m) :: _
+       | ("reset" as f) :: ("Span" as m) :: _ ->
+           add loc "R8"
+             (Printf.sprintf
+                "%s.%s in library code: only binaries, benches and tests \
+                 choose what the process-global root records and exports; \
+                 count a run in its own Dmw_obs.Metrics.scoped scope instead \
+                 (escape hatch: (* lint: allow obs-root: reason *))"
+                m f)
        | _ -> ());
     if rules.r6 then
       match txt with

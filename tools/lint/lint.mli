@@ -32,13 +32,17 @@
       the [Dmw_obs] sinks ([lib/obs]): library code reports through
       the metrics registry and its exporters, not ad-hoc console
       writes — benches, binaries and examples print freely.
+    - {b R8} [Dmw_obs.Metrics.enable]/[disable]/[reset] or
+      [Dmw_obs.Span.reset] in [lib/]: library code counts into the
+      scope of the run it serves; only binaries, benches and tests
+      choose what the process-global root records and exports.
 
     Escape hatch: a comment [(* lint: allow <kw>: reason *)] closing
     on the flagged line or the line above suppresses one rule there —
     the justification may span several lines; the allowance anchors
     where the comment closes. [<kw>] is one of [bigint-arith],
-    [poly-eq], [random], [mutex], [wildcard], [partial], [printf] (or
-    a literal rule id [R1]..[R7]).
+    [poly-eq], [random], [mutex], [wildcard], [partial], [printf],
+    [obs-root] (or a literal rule id [R1]..[R8]).
 
     An escape hatch that suppresses nothing — the code it excused was
     deleted, or the keyword is unknown — is itself reported as
@@ -49,7 +53,7 @@ type violation = Analysis_kit.Report.violation = {
   line : int;  (** 1-based *)
   col : int;  (** 0-based *)
   rule : string;
-      (** ["R1"].. ["R7"], ["stale-allow"] for a dead escape hatch, or
+      (** ["R1"].. ["R8"], ["stale-allow"] for a dead escape hatch, or
           ["parse"] on a syntax error *)
   message : string;
 }

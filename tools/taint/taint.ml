@@ -102,7 +102,7 @@ let sink_fn (m, v) =
   (* Observability is an export surface: metric values, labels and
      span attributes end up in run reports, so secrets must be
      declassified before they are recorded. *)
-  | "Metrics", ("bump" | "set" | "observe") ->
+  | "Metrics", ("bump" | "incr" | "set" | "observe") ->
       Some ("T-log", "Dmw_obs.Metrics." ^ v)
   | "Span", ("start" | "emit") -> Some ("T-log", "Dmw_obs.Span." ^ v)
   | "Export", ("json_lines" | "prometheus" | "write_file" | "dump") ->

@@ -31,7 +31,8 @@
       [Transcript.t];
     - [T-log] — [Printf]/[Format] printing (including [fprintf] to a
       caller-supplied formatter), and the observability surface:
-      [Dmw_obs.Metrics.bump]/[set]/[observe], [Dmw_obs.Span.start]/
+      [Dmw_obs.Metrics.bump]/[incr]/[set]/[observe],
+      [Dmw_obs.Span.start]/
       [emit] and the [Dmw_obs.Export] writers — metric values, labels
       and span attributes end up in run reports.
 
